@@ -40,7 +40,7 @@ projectRow(Table &t, const char *system, const ChipConfig &cfg,
            int cores, double freq, InstClass cls, const char *label)
 {
     GuardbandModel gb(LoadLine(cfg.pmu.rllOhm), cfg.pmu.vf);
-    ChipPowerModel pm(gb, cfg.pmu.leakagePerCoreAmps, cfg.numCores);
+    ChipPowerModel pm(gb, cfg.pmu.leakagePerCoreAmps);
     auto act = activity(cfg, cores, cls);
     double v = pm.vTargetVolts(freq, act);
     double i = pm.iccAmps(freq, v, act);

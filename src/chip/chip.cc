@@ -1,5 +1,6 @@
 #include "chip/chip.hh"
 
+#include <cassert>
 #include <cmath>
 
 #include "state/snapshot.hh"
@@ -8,7 +9,8 @@ namespace ich
 {
 
 Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
-    : eq_(eq), rng_(rng), cfg_(cfg), ticker_(eq), thermal_(cfg.thermal)
+    : eq_(eq), rng_(rng), cfg_(cfg), ticker_(eq), thermal_(cfg.thermal),
+      activity_(cfg.numCores)
 {
     for (CoreId i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(*this, i, cfg_.core));
@@ -62,6 +64,7 @@ Chip::kernelEnded(CoreId core, int smt, InstClass cls)
 void
 Chip::activityChanged()
 {
+    activityValid_ = false;
     pmu_->onActivityChanged();
 }
 
@@ -93,17 +96,36 @@ Chip::beforeFreqChange()
         core->materializePending();
 }
 
-std::vector<CoreActivity>
-Chip::coreActivity() const
+void
+Chip::scanActivity(std::vector<CoreActivity> &act) const
 {
-    std::vector<CoreActivity> act(cores_.size());
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         act[i].active = cores_[i]->anyThreadActive();
         act[i].cdynNf = cores_[i]->cdynActiveNf();
         act[i].gbLevel = 0; // PMU fills granted/pending levels
         act[i].activeGbLevel = cores_[i]->activeGbLevelNow();
     }
-    return act;
+}
+
+const std::vector<CoreActivity> &
+Chip::coreActivity() const
+{
+    if (!activityValid_) {
+        scanActivity(activity_);
+        activityValid_ = true;
+    }
+#ifndef NDEBUG
+    // Oracle: a missed invalidation shows up as a stale field here.
+    std::vector<CoreActivity> fresh(cores_.size());
+    scanActivity(fresh);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        assert(activity_[i].active == fresh[i].active);
+        assert(activity_[i].cdynNf == fresh[i].cdynNf);
+        assert(activity_[i].gbLevel == fresh[i].gbLevel);
+        assert(activity_[i].activeGbLevel == fresh[i].activeGbLevel);
+    }
+#endif
+    return activity_;
 }
 
 double
@@ -126,6 +148,7 @@ Chip::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
     thermal_.restoreState(r);
     for (auto &core : cores_)
         core->restoreState(r, ctx);
+    activityValid_ = false;
 }
 
 } // namespace ich

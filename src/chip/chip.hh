@@ -85,6 +85,7 @@ class Chip : public ChipApi, public PmuHooks
     void phiStarted(CoreId core, int smt, InstClass cls) override;
     void kernelEnded(CoreId core, int smt, InstClass cls) override;
     void activityChanged() override;
+    void invalidateActivity() override { activityValid_ = false; }
     ///@}
 
     /** @name PmuHooks */
@@ -93,7 +94,12 @@ class Chip : public ChipApi, public PmuHooks
     void assertCoreThrottle(CoreId core, ThrottleReason reason,
                             int initiator) override;
     void deassertCoreThrottle(CoreId core, ThrottleReason reason) override;
-    std::vector<CoreActivity> coreActivity() const override;
+    /**
+     * Cached: rescanned from the threads only after activityChanged(),
+     * invalidateActivity() or restoreState(). Builds without NDEBUG
+     * recompute on every call and assert the cache matches.
+     */
+    const std::vector<CoreActivity> &coreActivity() const override;
     void beforeFreqChange() override;
     ///@}
 
@@ -122,6 +128,9 @@ class Chip : public ChipApi, public PmuHooks
         const char *tickName() const override { return "thermal"; }
     };
 
+    /** Rescan every core's threads into @p act (sized to the cores). */
+    void scanActivity(std::vector<CoreActivity> &act) const;
+
     EventQueue &eq_;
     Rng &rng_;
     ChipConfig cfg_;
@@ -131,6 +140,9 @@ class Chip : public ChipApi, public PmuHooks
     std::unique_ptr<HorizonPlanner> planner_;
     ThermalModel thermal_;
     ThermalTick thermalTick_;
+    /** coreActivity() cache; refilled in place, so references stay. */
+    mutable std::vector<CoreActivity> activity_;
+    mutable bool activityValid_ = false;
 };
 
 } // namespace ich

@@ -12,7 +12,7 @@
  *
  * ΔCdyn / RLL / V-F parameters are calibrated so the guardband steps match
  * Fig. 6 (~8 mV per AVX2 core at 2 GHz) and the limit crossovers match
- * Fig. 7a; see DESIGN.md §4.
+ * Fig. 7a; tests/test_guardband.cc and tests/test_limits.cc pin both.
  */
 
 #ifndef ICH_CHIP_PRESETS_HH

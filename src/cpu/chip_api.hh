@@ -48,6 +48,13 @@ class ChipApi
 
     /** Thread activity (and hence chip current draw) changed. */
     virtual void activityChanged() = 0;
+
+    /**
+     * A thread's program was replaced: forget any cached activity
+     * without notifying the PMU (the thread is not running, so the
+     * draw it projects is unchanged).
+     */
+    virtual void invalidateActivity() = 0;
 };
 
 } // namespace ich

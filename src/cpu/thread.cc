@@ -84,6 +84,7 @@ HwThread::setProgram(Program prog)
         }
     }
     records_.reserve(expected);
+    chip_.invalidateActivity();
 }
 
 void

@@ -18,7 +18,7 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
                        const PmuConfig &cfg, PmuHooks &hooks)
     : eq_(eq), rng_(rng), ticker_(ticker), cfg_(cfg), hooks_(hooks),
       gbModel_(LoadLine(cfg.rllOhm), cfg.vf),
-      powerModel_(gbModel_, cfg.leakagePerCoreAmps, hooks.numCores()),
+      powerModel_(gbModel_, cfg.leakagePerCoreAmps),
       governor_(cfg.governor)
 {
     coreState_.assign(hooks_.numCores(), CoreState{});

@@ -55,8 +55,13 @@ class PmuHooks
                                     int initiator) = 0;
     virtual void deassertCoreThrottle(CoreId core,
                                       ThrottleReason reason) = 0;
-    /** Per-core instantaneous activity (gbLevel filled by the PMU). */
-    virtual std::vector<CoreActivity> coreActivity() const = 0;
+    /**
+     * Per-core instantaneous activity (gbLevel left 0; the PMU fills
+     * granted/pending levels into its own copy). The reference stays
+     * valid for the hooks' lifetime; its contents change only when
+     * thread activity does.
+     */
+    virtual const std::vector<CoreActivity> &coreActivity() const = 0;
     /**
      * The shared PLL is about to change frequency. Threads defer
      * chunk-record materialization analytically, replaying it on demand

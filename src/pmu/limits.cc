@@ -6,10 +6,8 @@ namespace ich
 {
 
 ChipPowerModel::ChipPowerModel(const GuardbandModel &gb,
-                               double leakage_per_core_amps,
-                               int num_cores)
-    : gb_(gb), leakagePerCoreAmps_(leakage_per_core_amps),
-      numCores_(num_cores)
+                               double leakage_per_core_amps)
+    : gb_(gb), leakagePerCoreAmps_(leakage_per_core_amps)
 {
 }
 

@@ -41,8 +41,7 @@ struct CoreActivity {
 class ChipPowerModel
 {
   public:
-    ChipPowerModel(const GuardbandModel &gb, double leakage_per_core_amps,
-                   int num_cores);
+    ChipPowerModel(const GuardbandModel &gb, double leakage_per_core_amps);
 
     /** Rail voltage target: base V(f) plus the sum of core guardbands. */
     double vTargetVolts(double freq_ghz,
@@ -72,7 +71,6 @@ class ChipPowerModel
   private:
     const GuardbandModel &gb_;
     double leakagePerCoreAmps_;
-    int numCores_;
 };
 
 } // namespace ich

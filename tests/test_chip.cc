@@ -1,11 +1,16 @@
 /**
  * @file
- * Chip-level tests: TSC invariance, activity reporting, measurement
- * points, power-gate integration (Fig. 8b/c first-iteration delta).
+ * Chip-level tests: TSC invariance, activity reporting and its cache,
+ * measurement points, power-gate integration (Fig. 8b/c
+ * first-iteration delta).
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "state/state.hh"
 #include "test_util.hh"
 
 namespace ich
@@ -15,6 +20,47 @@ namespace
 
 using test::pinnedCannonLake;
 using test::quietChip;
+
+/**
+ * The cached coreActivity() and iccAmps() must equal a fresh rescan of
+ * every core's threads, bit for bit.
+ */
+void
+expectActivityMatchesThreads(const Chip &chip)
+{
+    const std::vector<CoreActivity> &act = chip.coreActivity();
+    ASSERT_EQ(act.size(), static_cast<std::size_t>(chip.coreCount()));
+    std::vector<CoreActivity> fresh(act.size());
+    for (CoreId c = 0; c < chip.coreCount(); ++c) {
+        fresh[c].active = chip.core(c).anyThreadActive();
+        fresh[c].cdynNf = chip.core(c).cdynActiveNf();
+        fresh[c].activeGbLevel = chip.core(c).activeGbLevelNow();
+        EXPECT_EQ(act[c].active, fresh[c].active) << "core " << c;
+        EXPECT_EQ(act[c].cdynNf, fresh[c].cdynNf) << "core " << c;
+        EXPECT_EQ(act[c].gbLevel, 0) << "core " << c;
+        EXPECT_EQ(act[c].activeGbLevel, fresh[c].activeGbLevel)
+            << "core " << c;
+    }
+    EXPECT_EQ(chip.iccAmps(),
+              chip.pmu().powerModel().iccAmps(chip.freqGhz(),
+                                              chip.vccVolts(), fresh));
+}
+
+/** Which step kind @p thr is in, as a label. */
+std::string
+phaseOf(const HwThread &thr)
+{
+    if (thr.done())
+        return "done";
+    auto cls = thr.currentClass();
+    if (!cls)
+        return "idle";
+    if (*cls == InstClass::k512Heavy)
+        return "512";
+    if (*cls == InstClass::kScalar64)
+        return "rdtsc";
+    return "other";
+}
 
 TEST(Chip, TscCountsAtBaseClockRegardlessOfCoreFreq)
 {
@@ -54,6 +100,99 @@ TEST(Chip, CoreActivityReportsRunningClass)
                      chip.config().core.cdynBaseNf +
                          traits(InstClass::k256Heavy).deltaCdynNf);
     EXPECT_EQ(act[1].activeGbLevel, 3);
+}
+
+// The activity cache follows one thread through every step kind, and
+// the thread takes a new program once done.
+TEST(Chip, ActivityCacheFollowsThreadPhases)
+{
+    Simulation sim(quietChip(1.0));
+    Chip &chip = sim.chip();
+    HwThread &thr = chip.core(0).thread(0);
+    const Time idle = fromMicroseconds(30);
+    const Time wait_end =
+        test::kernelPicos(Kernel{InstClass::k512Heavy, 2000, 100}, 1.0) +
+        idle + fromMicroseconds(30);
+    Program p;
+    p.loop(InstClass::k512Heavy, 2000, 100);
+    p.idle(idle);
+    p.waitUntilTsc(chip.tscAt(wait_end));
+    thr.setProgram(std::move(p));
+    expectActivityMatchesThreads(chip);
+    const double icc_idle = chip.iccAmps();
+
+    thr.start();
+    std::vector<std::string> phases;
+    for (int step = 0; step < 1000 && !thr.done(); ++step) {
+        sim.eq().runUntil(sim.eq().now() + fromMicroseconds(1));
+        std::string phase = phaseOf(thr);
+        if (phases.empty() || phases.back() != phase)
+            phases.push_back(phase);
+        expectActivityMatchesThreads(chip);
+        if (phase == "512") {
+            EXPECT_GT(chip.iccAmps(), icc_idle);
+        }
+    }
+    EXPECT_EQ(phases, (std::vector<std::string>{"512", "idle", "rdtsc",
+                                                "done"}));
+    EXPECT_FALSE(chip.coreActivity()[0].active);
+
+    Program again;
+    again.loop(InstClass::k256Heavy, 1000, 100);
+    thr.setProgram(std::move(again));
+    expectActivityMatchesThreads(chip);
+    thr.start();
+    sim.eq().runUntil(sim.eq().now() + fromMicroseconds(5));
+    EXPECT_TRUE(chip.coreActivity()[0].active);
+    EXPECT_EQ(chip.coreActivity()[0].activeGbLevel,
+              traits(InstClass::k256Heavy).guardbandLevel);
+    expectActivityMatchesThreads(chip);
+    sim.run();
+    EXPECT_TRUE(thr.done());
+    expectActivityMatchesThreads(chip);
+}
+
+// Restoring a snapshot replaces thread state without activityChanged(),
+// so an activity cache filled while the chip was busy must not survive.
+TEST(Chip, RestoreDropsActivityCachedWhileBusy)
+{
+    Simulation quiet(quietChip(1.0));
+    quiet.eq().runUntil(fromMicroseconds(10));
+    const state::Buffer snap = state::snapshot(quiet);
+
+    Simulation busy(quietChip(1.0));
+    Chip &chip = busy.chip();
+    Program p;
+    p.loop(InstClass::k512Heavy, 2000, 100);
+    chip.core(0).thread(0).setProgram(std::move(p));
+    chip.core(0).thread(0).start();
+    busy.eq().runUntil(fromMicroseconds(10));
+    ASSERT_TRUE(chip.coreActivity()[0].active);
+
+    state::ArchiveReader archive(snap);
+    state::SectionReader section = archive.open("chip");
+    state::RestoreContext ctx(busy.eq());
+    chip.restoreState(section, ctx);
+    const CoreActivity &a = chip.coreActivity()[0];
+    EXPECT_FALSE(a.active);
+    EXPECT_EQ(a.cdynNf, 0.0);
+    EXPECT_EQ(a.activeGbLevel, 0);
+    expectActivityMatchesThreads(chip);
+}
+
+TEST(Chip, CoreActivityIsCachedStorage)
+{
+    Simulation sim(quietChip(1.0));
+    Chip &chip = sim.chip();
+    Program p;
+    p.loop(InstClass::k256Heavy, 1000, 100);
+    chip.core(1).thread(0).setProgram(std::move(p));
+    chip.core(1).thread(0).start();
+    sim.eq().runUntil(fromMicroseconds(10));
+    const std::vector<CoreActivity> &first = chip.coreActivity();
+    const std::vector<CoreActivity> &second = chip.coreActivity();
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(first.data(), second.data());
 }
 
 TEST(Chip, IccGrowsWithActivity)

@@ -33,7 +33,7 @@ struct Models {
     ChipPowerModel pm;
     explicit Models(const ChipConfig &cfg)
         : gb(LoadLine(cfg.pmu.rllOhm), cfg.pmu.vf),
-          pm(gb, cfg.pmu.leakagePerCoreAmps, cfg.numCores)
+          pm(gb, cfg.pmu.leakagePerCoreAmps)
     {
     }
 };
