@@ -10,7 +10,7 @@ namespace ich
 
 Chip::Chip(EventQueue &eq, Rng &rng, const ChipConfig &cfg)
     : eq_(eq), rng_(rng), cfg_(cfg), ticker_(eq), thermal_(cfg.thermal),
-      activity_(cfg.numCores)
+      activity_(cfg.numCores), activityDirty_(cfg.numCores, 1)
 {
     for (CoreId i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<Core>(*this, i, cfg_.core));
@@ -62,9 +62,16 @@ Chip::kernelEnded(CoreId core, int smt, InstClass cls)
 }
 
 void
-Chip::activityChanged()
+Chip::markActivityDirty(CoreId c)
 {
-    activityValid_ = false;
+    activityDirty_.at(c) = 1;
+    anyActivityDirty_ = true;
+}
+
+void
+Chip::activityChanged(CoreId core)
+{
+    markActivityDirty(core);
     pmu_->onActivityChanged();
 }
 
@@ -97,27 +104,32 @@ Chip::beforeFreqChange()
 }
 
 void
-Chip::scanActivity(std::vector<CoreActivity> &act) const
+Chip::scanCoreActivity(CoreId c, CoreActivity &a) const
 {
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        act[i].active = cores_[i]->anyThreadActive();
-        act[i].cdynNf = cores_[i]->cdynActiveNf();
-        act[i].gbLevel = 0; // PMU fills granted/pending levels
-        act[i].activeGbLevel = cores_[i]->activeGbLevelNow();
-    }
+    const Core &core = *cores_[c];
+    a.active = core.anyThreadActive();
+    a.cdynNf = core.cdynActiveNf();
+    a.gbLevel = 0; // PMU fills granted/pending levels
+    a.activeGbLevel = core.activeGbLevelNow();
 }
 
 const std::vector<CoreActivity> &
 Chip::coreActivity() const
 {
-    if (!activityValid_) {
-        scanActivity(activity_);
-        activityValid_ = true;
+    if (anyActivityDirty_) {
+        for (CoreId c = 0; c < coreCount(); ++c) {
+            if (activityDirty_[c]) {
+                scanCoreActivity(c, activity_[c]);
+                activityDirty_[c] = 0;
+            }
+        }
+        anyActivityDirty_ = false;
     }
 #ifndef NDEBUG
     // Oracle: a missed invalidation shows up as a stale field here.
     std::vector<CoreActivity> fresh(cores_.size());
-    scanActivity(fresh);
+    for (CoreId c = 0; c < coreCount(); ++c)
+        scanCoreActivity(c, fresh[c]);
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         assert(activity_[i].active == fresh[i].active);
         assert(activity_[i].cdynNf == fresh[i].cdynNf);
@@ -148,7 +160,8 @@ Chip::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
     thermal_.restoreState(r);
     for (auto &core : cores_)
         core->restoreState(r, ctx);
-    activityValid_ = false;
+    for (CoreId c = 0; c < coreCount(); ++c)
+        markActivityDirty(c);
 }
 
 } // namespace ich

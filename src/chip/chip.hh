@@ -84,8 +84,11 @@ class Chip : public ChipApi, public PmuHooks
     Time tscToTime(Cycles tsc) const override;
     void phiStarted(CoreId core, int smt, InstClass cls) override;
     void kernelEnded(CoreId core, int smt, InstClass cls) override;
-    void activityChanged() override;
-    void invalidateActivity() override { activityValid_ = false; }
+    void activityChanged(CoreId core) override;
+    void invalidateActivity(CoreId core) override
+    {
+        markActivityDirty(core);
+    }
     ///@}
 
     /** @name PmuHooks */
@@ -95,9 +98,10 @@ class Chip : public ChipApi, public PmuHooks
                             int initiator) override;
     void deassertCoreThrottle(CoreId core, ThrottleReason reason) override;
     /**
-     * Cached: rescanned from the threads only after activityChanged(),
-     * invalidateActivity() or restoreState(). Builds without NDEBUG
-     * recompute on every call and assert the cache matches.
+     * Cached per core: a core's entry is rescanned from its threads only
+     * after activityChanged() or invalidateActivity() named it, or after
+     * restoreState() (every core). Builds without NDEBUG rescan every
+     * core on every call and assert the cache matches.
      */
     const std::vector<CoreActivity> &coreActivity() const override;
     void beforeFreqChange() override;
@@ -128,8 +132,9 @@ class Chip : public ChipApi, public PmuHooks
         const char *tickName() const override { return "thermal"; }
     };
 
-    /** Rescan every core's threads into @p act (sized to the cores). */
-    void scanActivity(std::vector<CoreActivity> &act) const;
+    /** Rescan core @p c's threads into @p a. */
+    void scanCoreActivity(CoreId c, CoreActivity &a) const;
+    void markActivityDirty(CoreId c);
 
     EventQueue &eq_;
     Rng &rng_;
@@ -142,7 +147,11 @@ class Chip : public ChipApi, public PmuHooks
     ThermalTick thermalTick_;
     /** coreActivity() cache; refilled in place, so references stay. */
     mutable std::vector<CoreActivity> activity_;
-    mutable bool activityValid_ = false;
+    /** Per core: activity_[c] is stale (char, not vector<bool>). */
+    mutable std::vector<char> activityDirty_;
+    /** Some activityDirty_ entry is set: an all-clean query (the common
+     *  case) skips the per-core loop. */
+    mutable bool anyActivityDirty_ = true;
 };
 
 } // namespace ich

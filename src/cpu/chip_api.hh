@@ -46,15 +46,19 @@ class ChipApi
     /** A loop of @p cls finished (hysteresis bookkeeping). */
     virtual void kernelEnded(CoreId core, int smt, InstClass cls) = 0;
 
-    /** Thread activity (and hence chip current draw) changed. */
-    virtual void activityChanged() = 0;
+    /**
+     * Thread activity on @p core (and hence chip current draw) changed.
+     * Only @p core's cached activity is dropped; the PMU re-projects
+     * the whole chip.
+     */
+    virtual void activityChanged(CoreId core) = 0;
 
     /**
-     * A thread's program was replaced: forget any cached activity
-     * without notifying the PMU (the thread is not running, so the
-     * draw it projects is unchanged).
+     * A thread's program on @p core was replaced: forget that core's
+     * cached activity without notifying the PMU (the thread is not
+     * running, so the draw it projects is unchanged).
      */
-    virtual void invalidateActivity() = 0;
+    virtual void invalidateActivity(CoreId core) = 0;
 };
 
 } // namespace ich

@@ -84,7 +84,7 @@ HwThread::setProgram(Program prog)
         }
     }
     records_.reserve(expected);
-    chip_.invalidateActivity();
+    chip_.invalidateActivity(coreId_);
 }
 
 void
@@ -94,7 +94,7 @@ HwThread::start()
     started_ = true;
     done_ = prog_.empty();
     lastAccrue_ = chip_.eventQueue().now();
-    chip_.activityChanged();
+    chip_.activityChanged(coreId_);
     refresh();
 }
 
@@ -369,12 +369,12 @@ HwThread::enterStep()
                 stallUntil_ = std::max(stallUntil_, now + wake);
         }
         chip_.phiStarted(coreId_, smtIdx_, loop->kernel.cls);
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     } else if (const auto *idle = std::get_if<IdleStep>(&step)) {
         idleEnd_ = now + idle->duration;
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     } else if (std::holds_alternative<WaitUntilTscStep>(step)) {
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     }
 }
 
@@ -393,7 +393,7 @@ HwThread::advance()
     while (started_ && !done_) {
         if (stepIdx_ >= prog_.size()) {
             done_ = true;
-            chip_.activityChanged();
+            chip_.activityChanged(coreId_);
             break;
         }
         if (!enteredStep_)
@@ -430,7 +430,7 @@ HwThread::advance()
             break;
         ++stepIdx_;
         enteredStep_ = false;
-        chip_.activityChanged();
+        chip_.activityChanged(coreId_);
     }
 }
 

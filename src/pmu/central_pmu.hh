@@ -218,6 +218,8 @@ class CentralPmu
     std::vector<std::unique_ptr<Svid>> svids_;
     std::vector<CoreState> coreState_;
     std::unique_ptr<PowerLimiter> powerLimiter_;
+    /** activityWithLevels() storage. */
+    mutable std::vector<CoreActivity> levelled_;
 
     double freqGhz_;
     bool pstateInFlight_ = false;
@@ -240,7 +242,10 @@ class CentralPmu
     int effectiveLevel(const CoreState &cs) const;
     int maxLevelAllCores() const;
     double computeDomainTarget(int domain) const;
-    std::vector<CoreActivity> activityWithLevels() const;
+    /** hooks_.coreActivity() with granted/pending levels filled in,
+     *  copied into levelled_ (no allocation after the first call);
+     *  the reference is valid until the next call. */
+    const std::vector<CoreActivity> &activityWithLevels() const;
     void submitUpTransition(CoreId core, int lvl, int domain);
     void releaseDomainThrottles(int domain);
     void scheduleDecay(CoreId core);

@@ -71,10 +71,11 @@ Frame
 finishFrame(const std::uint8_t *hdr, Buffer payload)
 {
     std::uint32_t expect_crc = peek32(hdr + 16);
-    std::uint32_t got_crc = state::crc32(payload.data(), payload.size());
+    std::uint32_t got_crc = state::crc32(payload.data(), payload.size(),
+                                         state::crc32(hdr, 16));
     if (expect_crc != got_crc)
         throw ProtocolError("shard protocol: frame CRC mismatch "
-                            "(truncated or garbled payload)");
+                            "(truncated or garbled header or payload)");
     Frame f;
     f.type = static_cast<MsgType>(peek32(hdr + 4));
     f.payload = std::move(payload);
@@ -108,7 +109,8 @@ encodeFrame(MsgType type, const Buffer &payload)
     push32(out, kFrameMagic);
     push32(out, static_cast<std::uint32_t>(type));
     push64(out, payload.size());
-    push32(out, state::crc32(payload.data(), payload.size()));
+    push32(out, state::crc32(payload.data(), payload.size(),
+                             state::crc32(out.data(), 16)));
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
 }

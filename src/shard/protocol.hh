@@ -5,10 +5,11 @@
  *
  * Frame layout (all integers little-endian, widths explicit):
  *
- *   u32 magic "ICHW" | u32 type | u64 payloadLen | u32 crc32(payload)
+ *   u32 magic "ICHW" | u32 type | u64 payloadLen | u32 crc32(hdr16 || payload)
  *   payload bytes
  *
- * The CRC covers the payload, so a truncated or garbled frame surfaces
+ * The CRC covers the first 16 header bytes (magic, type, length) and
+ * then the payload, so a re-labelled, truncated or garbled frame surfaces
  * as a clean ProtocolError before any message field is interpreted —
  * the same loud-failure discipline as state::ArchiveReader. Payloads
  * are encoded with WireWriter/WireReader: explicit widths, raw
@@ -59,7 +60,7 @@ using Buffer = std::vector<std::uint8_t>;
 
 /** "ICHW" */
 constexpr std::uint32_t kFrameMagic = 0x57484349u;
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 /** Sanity bound on payloadLen: rejects garbage headers loudly. */
 constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4;

@@ -180,6 +180,108 @@ TEST(Chip, RestoreDropsActivityCachedWhileBusy)
     expectActivityMatchesThreads(chip);
 }
 
+// The cache is invalidated per core: staggered programs on two SMT
+// siblings of core 3 and on core 11 of the 16-core server part must
+// each refresh their own entry (and leave the idle cores' entries
+// alone) at every phase change, with the PMU throttling and changing
+// licenses underneath.
+TEST(Chip, PerCoreActivityCacheFollowsStaggeredServerThreads)
+{
+    Simulation sim(presets::skylakeServer());
+    Chip &chip = sim.chip();
+    ASSERT_EQ(chip.coreCount(), 16);
+    HwThread &a = chip.core(3).thread(0);
+    HwThread &b = chip.core(3).thread(1);
+    HwThread &c = chip.core(11).thread(0);
+
+    Program pa;
+    pa.loop(InstClass::k512Heavy, 3000, 100);
+    pa.idle(fromMicroseconds(15));
+    pa.loop(InstClass::k256Light, 2000, 100);
+    a.setProgram(std::move(pa));
+    Program pb;
+    pb.loop(InstClass::k256Heavy, 2000, 100);
+    pb.idle(fromMicroseconds(20));
+    pb.loop(InstClass::k512Heavy, 1000, 100);
+    b.setProgram(std::move(pb));
+    const Time c_start = fromMicroseconds(9);
+    const Kernel c_first{InstClass::k128Heavy, 2000, 100};
+    Program pc;
+    pc.loop(c_first.cls, c_first.iterations, c_first.unroll);
+    pc.waitUntilTsc(chip.tscAt(
+        c_start + 2 * test::kernelPicos(c_first, chip.freqGhz()) +
+        fromMicroseconds(20)));
+    pc.loop(InstClass::k512Light, 1500, 100);
+    c.setProgram(std::move(pc));
+    expectActivityMatchesThreads(chip);
+
+    struct Staggered {
+        HwThread *thr;
+        Time startAt;
+        std::vector<std::string> phases;
+    };
+    std::vector<Staggered> threads{{&a, fromMicroseconds(1), {}},
+                                   {&b, fromMicroseconds(4), {}},
+                                   {&c, c_start, {}}};
+    bool all_done = false;
+    for (int step = 0; step < 2000 && !all_done; ++step) {
+        sim.eq().runUntil(sim.eq().now() + fromMicroseconds(1));
+        all_done = true;
+        for (Staggered &s : threads) {
+            if (!s.thr->started() && sim.eq().now() >= s.startAt)
+                s.thr->start();
+            if (!s.thr->started()) {
+                all_done = false;
+                continue;
+            }
+            all_done = all_done && s.thr->done();
+            std::string phase = phaseOf(*s.thr);
+            if (s.phases.empty() || s.phases.back() != phase)
+                s.phases.push_back(phase);
+        }
+        expectActivityMatchesThreads(chip);
+        const std::vector<CoreActivity> &act = chip.coreActivity();
+        for (CoreId id = 0; id < chip.coreCount(); ++id)
+            if (id != 3 && id != 11) {
+                EXPECT_FALSE(act[id].active) << "core " << id;
+            }
+    }
+    ASSERT_TRUE(all_done);
+    // Every thread went through both loops and the gap between them.
+    for (const Staggered &s : threads)
+        EXPECT_GE(s.phases.size(), 4u) << ::testing::PrintToString(s.phases);
+    EXPECT_GT(chip.pmu().voltageRequests(), 0u);
+}
+
+// Restoring must refresh every core, not only core 0: here the busy
+// core whose cached entry would go stale is core 7, on its second SMT
+// thread.
+TEST(Chip, RestoreDropsActivityCachedOnABusyServerCore)
+{
+    Simulation quiet(presets::skylakeServer());
+    quiet.eq().runUntil(fromMicroseconds(10));
+    const state::Buffer snap = state::snapshot(quiet);
+
+    Simulation busy(presets::skylakeServer());
+    Chip &chip = busy.chip();
+    Program p;
+    p.loop(InstClass::k512Heavy, 2000, 100);
+    chip.core(7).thread(1).setProgram(std::move(p));
+    chip.core(7).thread(1).start();
+    busy.eq().runUntil(fromMicroseconds(10));
+    ASSERT_TRUE(chip.coreActivity()[7].active);
+
+    state::ArchiveReader archive(snap);
+    state::SectionReader section = archive.open("chip");
+    state::RestoreContext ctx(busy.eq());
+    chip.restoreState(section, ctx);
+    const CoreActivity &a = chip.coreActivity()[7];
+    EXPECT_FALSE(a.active);
+    EXPECT_EQ(a.cdynNf, 0.0);
+    EXPECT_EQ(a.activeGbLevel, 0);
+    expectActivityMatchesThreads(chip);
+}
+
 TEST(Chip, CoreActivityIsCachedStorage)
 {
     Simulation sim(quietChip(1.0));

@@ -331,6 +331,39 @@ TEST(ShardProtocol, GarbledPayloadFailsTheCrc)
     EXPECT_THROW(dec.next(out), shard::ProtocolError);
 }
 
+// The CRC covers the header too: a flipped type byte must not re-label
+// an intact payload, and a shrunken length must not cut one short.
+TEST(ShardProtocol, GarbledHeaderFailsTheCrc)
+{
+    const shard::Buffer good =
+        shard::encodeFrame(shard::MsgType::kAssign,
+                           shard::encodeAssign({{3}}));
+
+    shard::Buffer relabelled = good;
+    // type lives at bytes [4, 8): kAssign (3) -> kResult (6).
+    relabelled[4] = static_cast<std::uint8_t>(shard::MsgType::kResult);
+
+    shard::Buffer shrunk = good;
+    // payloadLen lives at bytes [8, 16); drop the payload's last byte.
+    ASSERT_GT(shrunk[8], 0);
+    --shrunk[8];
+
+    for (const shard::Buffer *f : {&relabelled, &shrunk}) {
+        shard::FrameDecoder dec;
+        dec.feed(f->data(), f->size());
+        shard::Frame out;
+        EXPECT_THROW(dec.next(out), shard::ProtocolError);
+
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        ASSERT_EQ(::write(fds[1], f->data(), f->size()),
+                  static_cast<ssize_t>(f->size()));
+        ::close(fds[1]);
+        EXPECT_THROW(shard::readFrame(fds[0]), shard::ProtocolError);
+        ::close(fds[0]);
+    }
+}
+
 TEST(ShardProtocol, BadMagicAndOversizedLengthAreRejected)
 {
     shard::Buffer good =
