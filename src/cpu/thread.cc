@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "cpu/core.hh"
 #include "state/snapshot.hh"
@@ -29,6 +30,19 @@ constexpr int kMinReplayBoundaries = 4;
 constexpr int kMaxReplayBoundaries = 64;
 
 /**
+ * llround() for 0 <= x < 2^63, inline: truncate, then round up on a
+ * fraction of at least one half. x - trunc(x) is exact for doubles, so
+ * this is the same round-half-away-from-zero, without the libm call.
+ */
+inline std::uint64_t
+roundNonNegative(double x)
+{
+    auto t = static_cast<std::int64_t>(x);
+    return static_cast<std::uint64_t>(t) +
+           (x - static_cast<double>(t) >= 0.5 ? 1 : 0);
+}
+
+/**
  * Next boundary-event time for a loop step, anchored at @p anchor —
  * bit-identical to the event-driven scheduleBoundary() arithmetic: the
  * target is the next chunk-record boundary (or the iteration cap if
@@ -52,7 +66,6 @@ loopBoundaryWhen(Time anchor, double iters_done, double next_record,
 HwThread::HwThread(Core &core, ChipApi &chip, CoreId core_id, int smt_idx)
     : core_(core), chip_(chip), coreId_(core_id), smtIdx_(smt_idx)
 {
-    replayCache_.reserve(kMaxReplayBoundaries);
 }
 
 void
@@ -66,7 +79,7 @@ HwThread::setProgram(Program prog)
     enteredStep_ = false;
     itersDone_ = 0.0;
     nextRecordIters_ = 0.0;
-    replayCache_.clear();
+    replayCacheSize_ = 0;
     replayCacheHead_ = 0;
     replayDepth_ = kMinReplayBoundaries;
     records_.clear();
@@ -225,29 +238,55 @@ HwThread::materializeLoop(const LoopStep &loop, Time t1)
     // triggers a refresh that restages before simulated time advances,
     // so crossings beyond a broken anchor chain do not exist yet by
     // construction.
-    while (replayCacheHead_ < replayCache_.size()) {
-        const PendingBoundary &e = replayCache_[replayCacheHead_];
-        if (e.anchor != lastAccrue_ || e.when > t1)
+    if (replayCacheHead_ == replayCacheSize_)
+        return;
+    Time head_anchor = replayCacheHead_ == 0
+                           ? replayAnchor_
+                           : replayCache_[replayCacheHead_ - 1].when;
+    if (head_anchor != lastAccrue_)
+        return; // re-anchored since the dry run: the staged tail is void
+    // The loop runs on locals, written back once at the end: appending
+    // a record may reallocate, so member state would otherwise make a
+    // round trip through memory on every record. Same operations in
+    // the same order, so the sums are bit-identical.
+    double rec_every = static_cast<double>(loop.recordEveryIterations);
+    int head = replayCacheHead_;
+    double iters = itersDone_;
+    double next_rec = nextRecordIters_;
+    PerfCounters acc = counters_;
+    while (head < replayCacheSize_) {
+        const PendingBoundary &e = replayCache_[head];
+        if (e.when > t1)
             break;
-        double before = itersDone_;
-        itersDone_ = e.itersAfter;
-        counters_.accrue(e.cycles,
-                         (itersDone_ - before) * insts_per_iter,
-                         PerfCounters::slotsPerCycle * e.cycles *
-                             nd_frac);
-        lastAccrue_ = e.when;
-        ++replayCacheHead_;
+        ++head;
+        acc.accrue(e.cycles, (e.itersAfter - iters) * insts_per_iter,
+                   PerfCounters::slotsPerCycle * e.cycles * nd_frac);
+        iters = e.itersAfter;
         if (e.recCount == 1) {
-            records_.push_back(e.rec);
-            nextRecordIters_ = e.nextRecAfter;
+            Record &rec = records_.emplace_back();
+            rec.tag = loop.tag;
+            rec.tsc = e.recTsc;
+            rec.time = e.when;
+            rec.iterationsDone = e.recIters;
+            next_rec += rec_every;
         } else if (e.recCount > 1) {
             // Epsilon-rare multi-crossing: rebuild via the general loop
-            // (leaves nextRecordIters_ == e.nextRecAfter by identity).
+            // (advances the record cursor exactly as the dry run did).
+            itersDone_ = iters;
+            nextRecordIters_ = next_rec;
             emitCrossedRecords(loop, e.when, tsc_ghz);
+            next_rec = nextRecordIters_;
         }
-        if (itersDone_ + kIterEpsilon >= cap)
-            return;
+        if (iters + kIterEpsilon >= cap)
+            break;
     }
+    if (head == replayCacheHead_)
+        return;
+    replayCacheHead_ = head;
+    itersDone_ = iters;
+    nextRecordIters_ = next_rec;
+    counters_ = acc;
+    lastAccrue_ = replayCache_[head - 1].when;
 }
 
 void
@@ -333,15 +372,12 @@ HwThread::emitCrossedRecords(const LoopStep &loop, Time at,
            nextRecordIters_ <= itersDone_ + kIterEpsilon &&
            nextRecordIters_ <=
                static_cast<double>(loop.kernel.iterations)) {
-        Record rec;
-        rec.tag = loop.tag;
-        // Inline tscAt(at) with the rate hoisted by the caller.
-        rec.tsc = static_cast<Cycles>(
-            std::llround(static_cast<double>(at) * tsc_ghz / 1000.0));
-        rec.time = at;
-        rec.iterationsDone =
-            static_cast<std::uint64_t>(std::llround(nextRecordIters_));
-        records_.push_back(rec);
+        // tscAt(at) with the rate hoisted by the caller; the dry run
+        // stages records with this same arithmetic.
+        records_.push_back(Record{
+            loop.tag,
+            roundNonNegative(static_cast<double>(at) * tsc_ghz / 1000.0),
+            at, roundNonNegative(nextRecordIters_)});
         nextRecordIters_ +=
             static_cast<double>(loop.recordEveryIterations);
     }
@@ -449,61 +485,78 @@ HwThread::dryRunLoopBoundary(const LoopStep &loop, Time anchor)
     // (stalls, throttle flips) shrinks it, so noisy phases never stage
     // much work that a re-anchor would discard. An empty cache (first
     // boundary of a step) keeps the current window.
-    if (!replayCache_.empty()) {
-        if (replayCacheHead_ >= replayCache_.size())
+    if (replayCacheSize_ > 0) {
+        if (replayCacheHead_ >= replayCacheSize_)
             replayDepth_ =
                 std::min(replayDepth_ * 2, kMaxReplayBoundaries);
         else
             replayDepth_ = kMinReplayBoundaries;
     }
-    replayCache_.clear();
     replayCacheHead_ = 0;
+    replayAnchor_ = anchor;
+    if (replayCache_.empty()) // first chunked loop on this thread
+        replayCache_.resize(kMaxReplayBoundaries);
 
     double iter_ps = iterationPicos(loop);
     double period_ps = cyclePicos(chip_.freqGhz());
     double cap = static_cast<double>(loop.kernel.iterations);
-    bool chunked = loop.recordEveryIterations > 0;
     double rec_every = static_cast<double>(loop.recordEveryIterations);
     double tsc_ghz = chip_.tscGhz();
     double iters = itersDone_;
     double next_rec = nextRecordIters_;
-    Time a = anchor;
-    Time w = a;
-    for (int k = 0; k < replayDepth_; ++k) {
-        // loopBoundaryWhen() with the conversions hoisted.
-        double target = cap;
-        if (chunked && next_rec < target)
-            target = next_rec;
-        double remaining = std::max(0.0, target - iters);
-        w = a + static_cast<Time>(std::ceil(remaining * iter_ps)) + 1;
-        double exec_ps = static_cast<double>(w - a);
-        iters = std::min(cap, iters + exec_ps / iter_ps);
-        PendingBoundary e;
-        e.anchor = a;
+    // Two-entry memo of the span's quotients (see the header). At a
+    // fixed rate the span alternates between values one picosecond
+    // apart, so after a window's first two records every lookup hits
+    // and `iters += hot.iters` is the only loop-carried dependency.
+    struct SpanQuotients {
+        double span = -1.0; // spans are positive: starts empty
+        double iters = 0.0;
+        double cycles = 0.0;
+    } hot, cold;
+    Time w = anchor;
+    const int depth = replayDepth_;
+    int n = 0;
+    while (n < depth) {
+        // loopBoundaryWhen() with the conversions hoisted (the loop is
+        // chunked, so the target is the next record or the cap).
+        double remaining = std::max(0.0, std::min(cap, next_rec) - iters);
+        double c = std::ceil(remaining * iter_ps);
+        Time a = w;
+        w = a + static_cast<Time>(c) + 1;
+        // == static_cast<double>(w - a): exact below 2^53 ps.
+        double span = c + 1.0;
+        if (span != hot.span) {
+            std::swap(hot, cold);
+            if (span != hot.span)
+                hot = {span, span / iter_ps, span / period_ps};
+        }
+#ifndef NDEBUG
+        // Oracle: the memo must be what the division would give.
+        assert(span == static_cast<double>(w - a));
+        assert(hot.iters == static_cast<double>(w - a) / iter_ps);
+        assert(hot.cycles == static_cast<double>(w - a) / period_ps);
+#endif
+        iters = std::min(cap, iters + hot.iters);
+        PendingBoundary &e = replayCache_[n++];
         e.when = w;
         e.itersAfter = iters;
-        e.cycles = exec_ps / period_ps;
-        e.recCount = 0;
+        e.cycles = hot.cycles;
         // Stage the crossed records (emitCrossedRecords(), precomputed).
-        while (chunked && next_rec <= iters + kIterEpsilon &&
-               next_rec <= cap) {
-            if (e.recCount == 0) {
-                e.rec.tag = loop.tag;
-                e.rec.tsc = static_cast<Cycles>(std::llround(
-                    static_cast<double>(w) * tsc_ghz / 1000.0));
-                e.rec.time = w;
-                e.rec.iterationsDone =
-                    static_cast<std::uint64_t>(std::llround(next_rec));
+        int crossed = 0;
+        while (next_rec <= iters + kIterEpsilon && next_rec <= cap) {
+            if (crossed == 0) {
+                e.recTsc = roundNonNegative(static_cast<double>(w) *
+                                            tsc_ghz / 1000.0);
+                e.recIters = roundNonNegative(next_rec);
             }
             next_rec += rec_every;
-            ++e.recCount;
+            ++crossed;
         }
-        e.nextRecAfter = next_rec;
-        replayCache_.push_back(e);
+        e.recCount = crossed;
         if (iters + kIterEpsilon >= cap)
             break; // w is the completion event
-        a = w;
     }
+    replayCacheSize_ = n;
     return w;
 }
 

@@ -24,6 +24,13 @@
  * materializePending(), which flushes crossed records at the old rate.
  * Event count per loop step drops from O(iterations/recordEvery) to
  * O(state transitions) — the former dominated full-chip runs.
+ *
+ * The replay itself is throughput-bound, not latency-bound. At a fixed
+ * rate a chunk span (ceil'd crossing + 1 ps) alternates between two
+ * values a picosecond apart, so the dry run memoizes each span's two
+ * quotients (iterations and cycles) and the only loop-carried work per
+ * record is one add and one min; the divisions leave the loop, and the
+ * ceil and the record rounding run off the critical path.
  */
 
 #ifndef ICH_CPU_THREAD_HH
@@ -186,22 +193,30 @@ class HwThread
     /**
      * Boundary crossing precomputed by scheduleBoundary()'s dry run and
      * consumed by the materializer, so the recurrence arithmetic runs
-     * once per record instead of twice. An entry is usable only while
-     * the replay anchor still matches (any external accrue between
+     * once per record instead of twice. Entries are chained: each one
+     * extends the accrual from the previous entry's @c when (the first
+     * from replayAnchor_). The staged run is usable only while that
+     * chain still matches lastAccrue_ (any external accrue between
      * boundaries re-anchors the recurrence and strands the tail, which
-     * the materializer then recomputes directly).
+     * the materializer then recomputes directly). The record's tag and
+     * time are the loop's tag and @c when, and the next-record cursor
+     * advances by recordEveryIterations per record, exactly as staged.
      */
     struct PendingBoundary {
-        Time anchor;        ///< lastAccrue_ value this entry extends
         Time when;          ///< boundary-event time
-        double itersAfter;  ///< itersDone_ after accruing [anchor, when)
-        double nextRecAfter; ///< nextRecordIters_ after the emission
-        double cycles;      ///< unhalted cycles of [anchor, when)
-        Record rec;         ///< staged record payload (recCount == 1)
+        double itersAfter;  ///< itersDone_ after accruing up to when
+        double cycles;      ///< unhalted cycles since the previous entry
+        Cycles recTsc;      ///< staged record TSC (recCount == 1)
+        std::uint64_t recIters; ///< staged record iterationsDone
         int recCount;       ///< records crossed at this boundary
     };
+    /** kMaxReplayBoundaries entries once the thread first runs a chunked
+     *  loop (staged in place); empty until then. */
     std::vector<PendingBoundary> replayCache_;
-    std::size_t replayCacheHead_ = 0;
+    int replayCacheSize_ = 0; ///< entries the last dry run staged
+    int replayCacheHead_ = 0; ///< next entry to consume
+    /** lastAccrue_ value the first staged entry extends. */
+    Time replayAnchor_ = 0;
     /** Current dry-run window (kMinReplayBoundaries..kMax, adaptive). */
     int replayDepth_ = 4;
 
@@ -217,9 +232,22 @@ class HwThread
     void materializeLoop(const LoopStep &loop, Time t1);
     /** Next boundary-event time for the current step (mode-aware). */
     Time nextBoundaryTime();
-    /** Dry-run the boundary recurrence to the step end (or the replay
-     *  cap), filling replayCache_ and returning the time of the next
-     *  *scheduled* boundary. */
+    /**
+     * Dry-run the boundary recurrence to the step end (or the replay
+     * cap), filling replayCache_ and returning the time of the next
+     * *scheduled* boundary.
+     *
+     * The per-span quotients span/iter_ps and span/period_ps are
+     * memoized for the window (two entries, keyed on the span). Reuse is
+     * exact: iter_ps and period_ps are fixed for the window, so a
+     * repeated span means identical operands, and an IEEE division of
+     * identical operands yields identical bits. Nothing can fuse the
+     * division into a neighbouring operation either: x86-64 has no
+     * fused divide-add, and the build passes no -march/-mfma flag, so
+     * even GCC's C++ default of -ffp-contract=fast has no FMA to form.
+     * Builds without NDEBUG recompute both quotients by division on
+     * every record and assert they equal the memo.
+     */
     Time dryRunLoopBoundary(const LoopStep &loop, Time anchor);
 };
 

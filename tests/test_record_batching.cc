@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <vector>
 
+#include "channels/levels.hh"
 #include "os/noise.hh"
+#include "os/phi_app.hh"
 #include "state/state.hh"
 #include "test_util.hh"
 
@@ -26,6 +29,7 @@ namespace ich
 namespace
 {
 
+using test::pinned;
 using test::pinnedCannonLake;
 using test::quietChip;
 
@@ -249,6 +253,64 @@ TEST(RecordBatching, NoiseStallsByteIdentical)
             ASSERT_FALSE(sigs[0].records.empty());
             expectEqualSigs(sigs[0], sigs[1]);
         }
+    }
+}
+
+TEST(RecordBatching, SmtReceiverShapeByteIdentical)
+{
+    // IccSMTcovert's receiver: a 64b probe (unroll 20) recording every
+    // 250 iterations on core 0 / SMT 1, while a PHI sender on SMT 0
+    // cycles through all four symbol classes at the channel's 710 us
+    // epochs. Noise is the BER grid's top point (10k/s interrupts,
+    // 1k/s context switches and App-PHI bursts). Throttle flips and
+    // stalls keep re-anchoring the recurrence, so the dry run meets
+    // new chunk spans and its span memo misses as well as hits.
+    const ChipConfig presets_under_test[] = {
+        pinned(presets::cannonLake(), 1.4), pinned(presets::haswell(), 1.4)};
+    for (const ChipConfig &cfg : presets_under_test) {
+        SCOPED_TRACE(cfg.name);
+        const SymbolMap map = symbolMapFor(cfg);
+        RunSig sigs[2];
+        for (int legacy = 0; legacy < 2; ++legacy) {
+            Simulation sim(cfg, 41);
+            HwThread &tx = sim.chip().core(0).thread(0);
+            HwThread &rx = sim.chip().core(0).thread(1);
+            tx.setLegacyChunkEvents(legacy != 0);
+            rx.setLegacyChunkEvents(legacy != 0);
+            Program tp;
+            for (int k = 0; k < 2 * kNumSymbols; ++k) {
+                tp.waitUntilTsc(
+                    sim.chip().tscAt(fromMicroseconds(50.0 + 710.0 * k)));
+                tp.loop(map.symbolClasses[k % kNumSymbols], 220);
+            }
+            tx.setProgram(std::move(tp));
+            Program rp;
+            rp.loopChunked(map.smtProbe, 400000, 250, 0, 20);
+            rx.setProgram(std::move(rp));
+
+            const Time horizon = fromMicroseconds(710.0 * 9);
+            NoiseConfig ncfg;
+            ncfg.interruptRatePerSec = 10000.0;
+            ncfg.contextSwitchRatePerSec = 1000.0;
+            NoiseInjector noise(sim.chip(), sim.rng(), ncfg, 0, 1);
+            noise.start(horizon);
+            PhiAppConfig acfg;
+            acfg.phiRatePerSec = 1000.0;
+            PhiApp app(sim.chip(), sim.rng(), acfg, 1, 0);
+            app.start(horizon);
+            rx.start();
+            tx.start();
+            sim.run(horizon);
+            collect(sim, sigs[legacy]);
+        }
+        ASSERT_GT(sigs[0].records.size(), 1000u);
+        expectEqualSigs(sigs[0], sigs[1]);
+        EXPECT_GT(sigs[0].throttleAsserts, 0u);
+        std::set<Time> spans;
+        for (std::size_t i = 1; i < sigs[0].records.size(); ++i)
+            spans.insert(sigs[0].records[i].time -
+                         sigs[0].records[i - 1].time);
+        EXPECT_GE(spans.size(), 3u);
     }
 }
 

@@ -14,14 +14,20 @@ namespace ich
 namespace test
 {
 
-/** Cannon Lake pinned to a fixed frequency (the paper's PoC setup). */
+/** @p cfg pinned to a fixed frequency (the paper's PoC setup). */
 inline ChipConfig
-pinnedCannonLake(double freq_ghz = 1.4)
+pinned(ChipConfig cfg, double freq_ghz)
 {
-    ChipConfig cfg = presets::cannonLake();
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = freq_ghz;
     return cfg;
+}
+
+/** Cannon Lake pinned to a fixed frequency. */
+inline ChipConfig
+pinnedCannonLake(double freq_ghz = 1.4)
+{
+    return pinned(presets::cannonLake(), freq_ghz);
 }
 
 /**
