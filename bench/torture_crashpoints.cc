@@ -26,7 +26,8 @@
  *   shard      an in-process ShardCoordinator whose worker 0 is armed
  *              with scripted process faults at named protocol points
  *              (shard.post-hello, shard.point-start, shard.post-sync,
- *              shard.result-frame) and scratch-store I/O faults
+ *              shard.result-frame), pipe I/O faults (shard.send,
+ *              shard.recv) and scratch-store I/O faults
  *
  * Modes: --quick (default; the CI campaign, fixed seeds, bounded
  * occurrence caps) and --full (ICH_TORTURE_FULL=1; every occurrence
@@ -598,10 +599,20 @@ struct ShardCycle {
     int maxUnitAttempts = 6;
 };
 
+/** A bit flipped on the wire must fail the frame CRC: the coordinator
+ *  aborts loudly instead of recovering. */
+bool
+garblesWire(const std::string &plan)
+{
+    return plan.find("site=shard.send") != std::string::npos &&
+           plan.find("fault=bitflip") != std::string::npos;
+}
+
 CycleResult
 runShardCycle(const ShardCycle &cycle, const std::string &dir,
               const std::string &golden_json)
 {
+    const bool garbles = garblesWire(cycle.plan);
     fs::remove_all(dir);
     fs::create_directories(dir);
     CycleResult res;
@@ -615,6 +626,11 @@ runShardCycle(const ShardCycle &cycle, const std::string &dir,
         opts.stallTimeoutMs = cycle.stallMs;
     try {
         exp::SweepResult sharded = shard::runSharded(shardSpec(), opts);
+        if (garbles) {
+            res.outcome = Outcome::kFail;
+            res.detail = "a garbled frame went unnoticed";
+            return res;
+        }
         if (exp::jsonReport(sharded, true) != golden_json) {
             res.outcome = Outcome::kFail;
             res.detail =
@@ -623,6 +639,11 @@ runShardCycle(const ShardCycle &cycle, const std::string &dir,
         }
         res.outcome = Outcome::kIdentical;
     } catch (const std::exception &e) {
+        if (garbles && std::strstr(e.what(), "protocol corruption")) {
+            res.outcome = Outcome::kLoudAbort;
+            res.detail = e.what();
+            return res;
+        }
         // Worker crash/hang/slow/torn faults are all recoverable by
         // design (scavenge + reassign + respawn); an abort here means
         // the coordinator failed to recover.
@@ -831,6 +852,13 @@ buildShardCycles()
                            ":fault=enospc", 22), 0, 6});
     cycles.push_back({plan("site=chunk.write:op=fsync:occ=1"
                            ":fault=eio", 23), 0, 6});
+    // Pipe I/O through the io:: seam. A flipped type bit in worker 0's
+    // first frame (its hello-ack) must fail the frame CRC and abort the
+    // sweep loudly; an EINTR on a worker read must simply be retried.
+    cycles.push_back({plan("site=shard.send:op=write:occ=1"
+                           ":fault=bitflip:arg=32", 24), 0, 6});
+    cycles.push_back({plan("site=shard.recv:op=read:occ=2"
+                           ":fault=eintr", 25), 0, 6});
     return cycles;
 }
 
@@ -1070,6 +1098,11 @@ main(int argc, char **argv)
         if (res.outcome == Outcome::kFail) {
             std::fprintf(stderr, "FAIL: %s\n", res.detail.c_str());
             return 1;
+        }
+        if (res.outcome == Outcome::kLoudAbort) {
+            std::printf("ok: shard cycle aborted loudly: %s\n",
+                        res.detail.c_str());
+            return 0;
         }
         std::printf("ok: shard cycle recovered byte-identically\n");
         return 0;

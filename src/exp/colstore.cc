@@ -1,8 +1,9 @@
 #include "exp/colstore.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+
+#include "io/codec.hh"
 
 namespace ich
 {
@@ -15,113 +16,15 @@ namespace
 using state::ArchiveError;
 using state::Buffer;
 
-// ---------------------------------------------------- wire primitives
+using Reader = io::ByteReader<ArchiveError>;
 
-void
-put32(Buffer &out, std::uint32_t v)
+/** Bounds-checked reader over one chunk body of the store at @p path. */
+Reader
+reader(const Buffer &body, const std::string &path)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return Reader(body.data(), body.size(), "colstore chunk",
+                  path.c_str());
 }
-
-void
-put64(Buffer &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putString(Buffer &out, const std::string &s)
-{
-    put32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-std::uint64_t
-doubleBits(double d)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    return bits;
-}
-
-double
-bitsDouble(std::uint64_t bits)
-{
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-}
-
-/** Bounds-checked little-endian cursor over a chunk body. */
-class Cursor
-{
-  public:
-    Cursor(const Buffer &buf, const std::string &path)
-        : buf_(buf), path_(path)
-    {
-    }
-
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(buf_[off_ + i]) << (8 * i);
-        off_ += 4;
-        return v;
-    }
-
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(buf_[off_ + i]) << (8 * i);
-        off_ += 8;
-        return v;
-    }
-
-    std::string str()
-    {
-        std::uint32_t n = u32();
-        need(n);
-        std::string s(reinterpret_cast<const char *>(buf_.data() + off_),
-                      n);
-        off_ += n;
-        return s;
-    }
-
-    const std::uint8_t *bytes(std::size_t n)
-    {
-        need(n);
-        const std::uint8_t *p = buf_.data() + off_;
-        off_ += n;
-        return p;
-    }
-
-    bool atEnd() const { return off_ == buf_.size(); }
-
-    void expectEnd() const
-    {
-        if (!atEnd())
-            throw ArchiveError("colstore: trailing bytes in a chunk of '" +
-                               path_ + "'");
-    }
-
-  private:
-    const Buffer &buf_;
-    const std::string &path_;
-    std::size_t off_ = 0;
-
-    void need(std::size_t n) const
-    {
-        if (buf_.size() - off_ < n)
-            throw ArchiveError("colstore: truncated chunk body in '" +
-                               path_ + "'");
-    }
-};
 
 // --------------------------------------------------- header chunk I/O
 
@@ -129,13 +32,14 @@ Buffer
 encodeHeader(const StoreHeader &hdr)
 {
     Buffer body;
-    put32(body, kColFormatVersion);
-    putString(body, hdr.scenario);
-    putString(body, hdr.description);
-    put64(body, hdr.baseSeed);
-    put32(body, static_cast<std::uint32_t>(hdr.trialsPerPoint));
-    put64(body, hdr.numPoints);
-    put64(body, hdr.gridFp);
+    io::ByteWriter w(body);
+    w.putU32(kColFormatVersion);
+    w.putString(hdr.scenario);
+    w.putString(hdr.description);
+    w.putU64(hdr.baseSeed);
+    w.putU32(static_cast<std::uint32_t>(hdr.trialsPerPoint));
+    w.putU64(hdr.numPoints);
+    w.putU64(hdr.gridFp);
     return body;
 }
 
@@ -160,22 +64,23 @@ encodeDataChunk(const std::vector<std::string> &names_in_order,
                 std::size_t first_new_name, const std::vector<Row> &rows)
 {
     Buffer body;
+    io::ByteWriter w(body);
 
-    put32(body, static_cast<std::uint32_t>(names_in_order.size() -
-                                           first_new_name));
+    w.putU32(static_cast<std::uint32_t>(names_in_order.size() -
+                                        first_new_name));
     for (std::size_t i = first_new_name; i < names_in_order.size(); ++i) {
-        put32(body, static_cast<std::uint32_t>(i));
-        putString(body, names_in_order[i]);
+        w.putU32(static_cast<std::uint32_t>(i));
+        w.putString(names_in_order[i]);
     }
 
     const std::size_t n = rows.size();
-    put32(body, static_cast<std::uint32_t>(n));
+    w.putU32(static_cast<std::uint32_t>(n));
     for (const Row &r : rows)
-        put64(body, r.pointIndex);
+        w.putU64(r.pointIndex);
     for (const Row &r : rows)
-        put32(body, r.trial);
+        w.putU32(r.trial);
     for (const Row &r : rows)
-        put64(body, r.seed);
+        w.putU64(r.seed);
 
     // Which metric ids appear in this chunk, ascending.
     std::vector<std::uint32_t> ids;
@@ -185,26 +90,26 @@ encodeDataChunk(const std::vector<std::string> &names_in_order,
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
-    put32(body, static_cast<std::uint32_t>(ids.size()));
+    w.putU32(static_cast<std::uint32_t>(ids.size()));
     const std::size_t bitmap_bytes = (n + 7) / 8;
     for (std::uint32_t id : ids) {
-        put32(body, id);
+        w.putU32(id);
         std::vector<std::uint8_t> bitmap(bitmap_bytes, 0);
-        std::vector<std::uint64_t> vals;
+        std::vector<double> vals;
         for (std::size_t row = 0; row < n; ++row) {
             for (const auto &m : rows[row].metrics) {
                 if (m.first == id) {
                     bitmap[row / 8] |=
                         static_cast<std::uint8_t>(1u << (row % 8));
-                    vals.push_back(doubleBits(m.second));
+                    vals.push_back(m.second);
                     break;
                 }
             }
         }
-        body.insert(body.end(), bitmap.begin(), bitmap.end());
-        put32(body, static_cast<std::uint32_t>(vals.size()));
-        for (std::uint64_t v : vals)
-            put64(body, v);
+        w.putBytes(bitmap.data(), bitmap.size());
+        w.putU32(static_cast<std::uint32_t>(vals.size()));
+        for (double v : vals)
+            w.putF64(v);
     }
     return body;
 }
@@ -214,9 +119,10 @@ encodeFooter(std::uint64_t records, std::uint64_t points,
              std::uint32_t dict_size)
 {
     Buffer body;
-    put64(body, records);
-    put64(body, points);
-    put32(body, dict_size);
+    io::ByteWriter w(body);
+    w.putU64(records);
+    w.putU64(points);
+    w.putU32(dict_size);
     return body;
 }
 
@@ -235,34 +141,34 @@ struct RawChunk {
 RawChunk
 decodeDataChunk(const Buffer &body, const std::string &path)
 {
-    Cursor cur(body, path);
+    Reader cur = reader(body, path);
     RawChunk out;
 
-    std::uint32_t n_new = cur.u32();
+    std::uint32_t n_new = cur.getU32();
     out.newNames.reserve(n_new);
     for (std::uint32_t i = 0; i < n_new; ++i) {
-        std::uint32_t id = cur.u32();
-        out.newNames.emplace_back(id, cur.str());
+        std::uint32_t id = cur.getU32();
+        out.newNames.emplace_back(id, cur.getString());
     }
 
-    std::uint32_t n = cur.u32();
+    std::uint32_t n = cur.getU32();
     out.pointIndex.reserve(n);
     out.trial.reserve(n);
     out.seed.reserve(n);
     out.metrics.resize(n);
     for (std::uint32_t i = 0; i < n; ++i)
-        out.pointIndex.push_back(cur.u64());
+        out.pointIndex.push_back(cur.getU64());
     for (std::uint32_t i = 0; i < n; ++i)
-        out.trial.push_back(cur.u32());
+        out.trial.push_back(cur.getU32());
     for (std::uint32_t i = 0; i < n; ++i)
-        out.seed.push_back(cur.u64());
+        out.seed.push_back(cur.getU64());
 
-    std::uint32_t n_cols = cur.u32();
+    std::uint32_t n_cols = cur.getU32();
     const std::size_t bitmap_bytes = (n + 7) / 8;
     for (std::uint32_t c = 0; c < n_cols; ++c) {
-        std::uint32_t id = cur.u32();
+        std::uint32_t id = cur.getU32();
         const std::uint8_t *bitmap = cur.bytes(bitmap_bytes);
-        std::uint32_t n_vals = cur.u32();
+        std::uint32_t n_vals = cur.getU32();
         std::uint32_t seen = 0;
         for (std::uint32_t row = 0; row < n; ++row) {
             if (bitmap[row / 8] & (1u << (row % 8))) {
@@ -281,7 +187,7 @@ decodeDataChunk(const Buffer &body, const std::string &path)
         // sorted without a second pass.
         std::vector<std::uint64_t> vals(n_vals);
         for (std::uint32_t v = 0; v < n_vals; ++v)
-            vals[v] = cur.u64();
+            vals[v] = cur.getU64();
         for (std::uint32_t row = 0, v = 0; row < n; ++row)
             if (bitmap[row / 8] & (1u << (row % 8)))
                 out.metrics[row].emplace_back(id, vals[v++]);
@@ -503,18 +409,18 @@ ColumnStoreReader::ColumnStoreReader(const std::string &path) : path_(path)
                 throw ArchiveError(
                     "colstore: '" + path +
                     "' does not start with a header chunk");
-            Cursor cur(frame.body, path_);
-            std::uint32_t version = cur.u32();
+            Reader cur = reader(frame.body, path_);
+            std::uint32_t version = cur.getU32();
             if (version != kColFormatVersion)
                 throw ArchiveError(
                     "colstore: unsupported format version " +
                     std::to_string(version) + " in '" + path + "'");
-            scenario_ = cur.str();
-            description_ = cur.str();
-            baseSeed_ = cur.u64();
-            trialsPerPoint_ = static_cast<int>(cur.u32());
-            numPoints_ = cur.u64();
-            gridFp_ = cur.u64();
+            scenario_ = cur.getString();
+            description_ = cur.getString();
+            baseSeed_ = cur.getU64();
+            trialsPerPoint_ = static_cast<int>(cur.getU32());
+            numPoints_ = cur.getU64();
+            gridFp_ = cur.getU64();
             cur.expectEnd();
             if (trialsPerPoint_ < 1)
                 throw ArchiveError(
@@ -526,10 +432,10 @@ ColumnStoreReader::ColumnStoreReader(const std::string &path) : path_(path)
             throw ArchiveError("colstore: duplicate header chunk in '" +
                                path + "'");
         if (frame.kind == kColChunkFooter) {
-            Cursor cur(frame.body, path_);
-            footer_records = cur.u64();
-            footer_points = cur.u64();
-            (void)cur.u32(); // dictionary size: advisory
+            Reader cur = reader(frame.body, path_);
+            footer_records = cur.getU64();
+            footer_points = cur.getU64();
+            (void)cur.getU32(); // dictionary size: advisory
             cur.expectEnd();
             have_footer = true;
             continue;
@@ -658,7 +564,7 @@ ColumnStoreReader::pointAt(const PointLoc &loc) const
         rec.trial = static_cast<int>(chunk.raw.trial[r]);
         rec.seed = chunk.raw.seed[r];
         for (const auto &m : chunk.raw.metrics[r])
-            rec.metrics[names_[m.first]] = bitsDouble(m.second);
+            rec.metrics[names_[m.first]] = io::f64FromBits(m.second);
         out.push_back(std::move(rec));
     }
     return out;

@@ -2,11 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
 #include "exp/colstore.hh"
+#include "io/codec.hh"
 #include "state/archive.hh"
 
 namespace ich
@@ -25,14 +25,6 @@ fnv1a(const std::string &s, std::uint64_t h = 1469598103934665603ull)
         h *= 1099511628211ull;
     }
     return h;
-}
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
 }
 
 } // namespace
@@ -55,7 +47,7 @@ gridFingerprint(const std::vector<ParamPoint> &points)
             h = fnv1a(e.value.label, h);
             char bits[32];
             std::snprintf(bits, sizeof bits, "%016" PRIx64,
-                          doubleBits(e.value.value));
+                          io::f64Bits(e.value.value));
             h = fnv1a(bits, h);
         }
         h = fnv1a("|", h);
@@ -143,7 +135,7 @@ trialsBitEqual(const std::vector<TrialRecord> &a,
         for (auto mb = b[i].metrics.begin(); mb != b[i].metrics.end();
              ++ma, ++mb) {
             if (ma->first != mb->first ||
-                doubleBits(ma->second) != doubleBits(mb->second))
+                io::f64Bits(ma->second) != io::f64Bits(mb->second))
                 return false;
         }
     }

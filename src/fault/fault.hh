@@ -27,8 +27,9 @@
  *
  * The injection points are the io::FileOps wrappers (io/fileops.hh) —
  * routed through by state/chunkio and state/archive, and therefore by
- * everything layered on them (exp/colstore, exp/resume, shard scratch)
- * — plus explicit procPoint() calls at named shard-protocol points.
+ * everything layered on them (exp/colstore, exp/resume, shard scratch),
+ * and by the shard pipes (shard.send/shard.recv, no path) — plus
+ * explicit procPoint() calls at named shard-protocol points.
  * With no plan armed every wrapper is a single predicted-not-taken
  * branch in front of the real syscall: the seam is free (BENCH floors
  * are unaffected).

@@ -9,6 +9,8 @@
  *   chunk.read     ChunkFileScanner (open/pread)
  *   archive.write  atomicWriteFile (open/write/fsync/rename)
  *   archive.read   readFile (open/read)
+ *   shard.send     shard frame writes to a pipe (coordinator and worker)
+ *   shard.recv     shard frame reads from a pipe (coordinator and worker)
  *
  * With no fault plan armed (fault::active() false — the overwhelmingly
  * common case) every wrapper is one relaxed atomic load and a

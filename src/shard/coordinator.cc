@@ -20,9 +20,11 @@
 
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
+#include "io/fileops.hh"
 #include "shard/hash_ring.hh"
 #include "shard/protocol.hh"
 #include "state/archive.hh"
+#include "state/chunkio.hh"
 
 namespace ich
 {
@@ -247,8 +249,8 @@ struct Run {
 
     void enqueueFrame(Slot &s, MsgType type, const Buffer &payload)
     {
-        Buffer bytes = encodeFrame(type, payload);
-        s.outbox.insert(s.outbox.end(), bytes.begin(), bytes.end());
+        state::appendChunkFrame(s.outbox, static_cast<std::uint32_t>(type),
+                                payload);
         flushOutbox(s);
     }
 
@@ -259,8 +261,9 @@ struct Run {
         if (s.wfd < 0)
             return;
         while (s.outPos < s.outbox.size()) {
-            ssize_t n = ::write(s.wfd, s.outbox.data() + s.outPos,
-                                s.outbox.size() - s.outPos);
+            ssize_t n = io::write(s.wfd, s.outbox.data() + s.outPos,
+                                  s.outbox.size() - s.outPos, "shard.send",
+                                  nullptr);
             if (n > 0) {
                 s.outPos += static_cast<std::size_t>(n);
                 continue;
@@ -678,7 +681,8 @@ struct Run {
                 bool dead = false;
                 for (;;) {
                     std::uint8_t chunk[65536];
-                    ssize_t n = ::read(s.rfd, chunk, sizeof chunk);
+                    ssize_t n = io::read(s.rfd, chunk, sizeof chunk,
+                                         "shard.recv", nullptr);
                     if (n > 0) {
                         s.decoder.feed(chunk,
                                        static_cast<std::size_t>(n));
@@ -755,7 +759,8 @@ struct Run {
                 // Discard late frames so a worker blocked writing can
                 // reach its next read and see the shutdown.
                 std::uint8_t sink[4096];
-                while (::read(s.rfd, sink, sizeof sink) > 0) {
+                while (io::read(s.rfd, sink, sizeof sink, "shard.recv",
+                                nullptr) > 0) {
                 }
                 int status = 0;
                 pid_t got = ::waitpid(s.pid, &status, WNOHANG);

@@ -3,9 +3,9 @@
 #include <cerrno>
 #include <cstring>
 
-#include <unistd.h>
-
-#include "state/archive.hh" // state::crc32
+#include "io/codec.hh"
+#include "io/fileops.hh"
+#include "state/chunkio.hh"
 
 namespace ich
 {
@@ -15,71 +15,74 @@ namespace shard
 namespace
 {
 
-void
-push32(Buffer &out, std::uint32_t v)
+using Reader = io::ByteReader<ProtocolError>;
+
+Reader
+reader(const Buffer &payload)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return Reader(payload.data(), payload.size(),
+                  "shard protocol: message payload");
 }
 
-void
-push64(Buffer &out, std::uint64_t v)
+/** Check the frame at @p data with the chunk-frame validator: true when
+ *  it is whole, false when more bytes are needed; garbage throws. */
+bool
+frameComplete(const std::uint8_t *data, std::size_t size,
+              state::ChunkFrameCheck &c)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-peek32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-peek64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-/**
- * Validate a frame header and return its payload length. Every decode
- * path (blocking reads and the incremental decoder) funnels through
- * here so garbage is rejected with one consistent vocabulary.
- */
-std::uint64_t
-checkHeader(const std::uint8_t *hdr)
-{
-    if (peek32(hdr) != kFrameMagic)
+    c = state::checkChunkFrame(data, size, kMaxFrameBytes);
+    switch (c.status) {
+      case state::ChunkFrameCheck::kIncomplete:
+        return false;
+      case state::ChunkFrameCheck::kComplete:
+        return true;
+      case state::ChunkFrameCheck::kBadMagic:
         throw ProtocolError("shard protocol: bad frame magic "
                             "(stream corrupt or not a shard peer)");
-    std::uint64_t len = peek64(hdr + 8);
-    if (len > kMaxFrameBytes)
+      case state::ChunkFrameCheck::kTooLong:
         throw ProtocolError("shard protocol: frame length " +
-                            std::to_string(len) +
+                            std::to_string(c.bodyLen) +
                             " exceeds the 1 GiB sanity bound "
                             "(garbled header)");
-    return len;
+      case state::ChunkFrameCheck::kBadCrc:
+        break;
+    }
+    throw ProtocolError("shard protocol: frame CRC mismatch "
+                        "(truncated or garbled header or payload)");
 }
 
+/** The payload of the whole, validated frame at @p data. */
 Frame
-finishFrame(const std::uint8_t *hdr, Buffer payload)
+frameAt(const std::uint8_t *data, const state::ChunkFrameCheck &c)
 {
-    std::uint32_t expect_crc = peek32(hdr + 16);
-    std::uint32_t got_crc = state::crc32(payload.data(), payload.size(),
-                                         state::crc32(hdr, 16));
-    if (expect_crc != got_crc)
-        throw ProtocolError("shard protocol: frame CRC mismatch "
-                            "(truncated or garbled header or payload)");
+    const std::uint8_t *body = data + state::kChunkFrameHeaderBytes;
     Frame f;
-    f.type = static_cast<MsgType>(peek32(hdr + 4));
-    f.payload = std::move(payload);
+    f.type = static_cast<MsgType>(c.kind);
+    f.payload.assign(body, body + c.bodyLen);
     return f;
+}
+
+/** Read exactly @p size bytes; throws on EOF or error. */
+void
+readExact(int fd, std::uint8_t *out, std::size_t size, const char *what)
+{
+    std::size_t off = 0;
+    while (off < size) {
+        ssize_t n = io::read(fd, out + off, size - off, "shard.recv",
+                             nullptr);
+        if (n == 0)
+            throw ProtocolError(std::string("shard protocol: peer closed "
+                                            "the pipe mid-") +
+                                what + " (truncated frame)");
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw ProtocolError(std::string("shard protocol: read failed "
+                                            "(") +
+                                std::strerror(errno) + ")");
+        }
+        off += static_cast<std::size_t>(n);
+    }
 }
 
 } // namespace
@@ -101,27 +104,16 @@ msgTypeName(MsgType t)
     return "unknown";
 }
 
-Buffer
-encodeFrame(MsgType type, const Buffer &payload)
-{
-    Buffer out;
-    out.reserve(kFrameHeaderBytes + payload.size());
-    push32(out, kFrameMagic);
-    push32(out, static_cast<std::uint32_t>(type));
-    push64(out, payload.size());
-    push32(out, state::crc32(payload.data(), payload.size(),
-                             state::crc32(out.data(), 16)));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
-}
-
 void
 writeFrame(int fd, MsgType type, const Buffer &payload)
 {
-    Buffer bytes = encodeFrame(type, payload);
+    Buffer bytes;
+    state::appendChunkFrame(bytes, static_cast<std::uint32_t>(type),
+                            payload);
     std::size_t off = 0;
     while (off < bytes.size()) {
-        ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+        ssize_t n = io::write(fd, bytes.data() + off, bytes.size() - off,
+                              "shard.send", nullptr);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -133,46 +125,21 @@ writeFrame(int fd, MsgType type, const Buffer &payload)
     }
 }
 
-namespace
-{
-
-/** Read exactly @p size bytes; throws on EOF or error. */
-void
-readExact(int fd, std::uint8_t *out, std::size_t size, const char *what)
-{
-    std::size_t off = 0;
-    while (off < size) {
-        ssize_t n = ::read(fd, out + off, size - off);
-        if (n == 0)
-            throw ProtocolError(std::string("shard protocol: peer closed "
-                                            "the pipe mid-") +
-                                what + " (truncated frame)");
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw ProtocolError(std::string("shard protocol: read failed "
-                                            "(") +
-                                std::strerror(errno) + ")");
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
-} // namespace
-
 Frame
 readFrame(int fd)
 {
-    std::uint8_t hdr[kFrameHeaderBytes];
     // A clean EOF *before* any header byte is still an error for the
     // blocking reader: callers that treat peer-exit as normal catch
     // ProtocolError at the call site.
-    readExact(fd, hdr, sizeof hdr, "header");
-    std::uint64_t len = checkHeader(hdr);
-    Buffer payload(static_cast<std::size_t>(len));
-    if (len > 0)
-        readExact(fd, payload.data(), payload.size(), "payload");
-    return finishFrame(hdr, std::move(payload));
+    Buffer bytes(state::kChunkFrameHeaderBytes);
+    readExact(fd, bytes.data(), bytes.size(), "header");
+    state::ChunkFrameCheck c;
+    frameComplete(bytes.data(), bytes.size(), c); // magic + length bound
+    bytes.resize(c.frameBytes());
+    readExact(fd, bytes.data() + state::kChunkFrameHeaderBytes,
+              bytes.size() - state::kChunkFrameHeaderBytes, "payload");
+    frameComplete(bytes.data(), bytes.size(), c); // CRC
+    return frameAt(bytes.data(), c);
 }
 
 void
@@ -184,16 +151,12 @@ FrameDecoder::feed(const std::uint8_t *data, std::size_t size)
 bool
 FrameDecoder::next(Frame &out)
 {
-    if (buf_.size() - pos_ < kFrameHeaderBytes)
+    const std::uint8_t *data = buf_.data() + pos_;
+    state::ChunkFrameCheck c;
+    if (!frameComplete(data, buf_.size() - pos_, c))
         return false;
-    const std::uint8_t *hdr = buf_.data() + pos_;
-    std::uint64_t len = checkHeader(hdr);
-    if (buf_.size() - pos_ < kFrameHeaderBytes + len)
-        return false;
-    Buffer payload(hdr + kFrameHeaderBytes,
-                   hdr + kFrameHeaderBytes + static_cast<std::size_t>(len));
-    out = finishFrame(hdr, std::move(payload));
-    pos_ += kFrameHeaderBytes + static_cast<std::size_t>(len);
+    out = frameAt(data, c);
+    pos_ += c.frameBytes();
     // Compact once the consumed prefix dominates, so a long-lived
     // stream doesn't grow without bound.
     if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
@@ -203,128 +166,26 @@ FrameDecoder::next(Frame &out)
     return true;
 }
 
-// ----------------------------------------------------------- wire I/O
-
-void
-WireWriter::putU32(std::uint32_t v)
-{
-    push32(buf_, v);
-}
-
-void
-WireWriter::putU64(std::uint64_t v)
-{
-    push64(buf_, v);
-}
-
-void
-WireWriter::putI32(std::int32_t v)
-{
-    push32(buf_, static_cast<std::uint32_t>(v));
-}
-
-void
-WireWriter::putF64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v, "IEEE-754 double expected");
-    std::memcpy(&bits, &v, sizeof bits);
-    push64(buf_, bits);
-}
-
-void
-WireWriter::putString(const std::string &v)
-{
-    push32(buf_, static_cast<std::uint32_t>(v.size()));
-    buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void
-WireWriter::putBytes(const Buffer &v)
-{
-    push64(buf_, v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void
-WireReader::need(std::size_t n) const
-{
-    if (remaining() < n)
-        throw ProtocolError("shard protocol: message payload truncated");
-}
-
-std::uint32_t
-WireReader::getU32()
-{
-    need(4);
-    std::uint32_t v = peek32(p_);
-    p_ += 4;
-    return v;
-}
-
-std::uint64_t
-WireReader::getU64()
-{
-    need(8);
-    std::uint64_t v = peek64(p_);
-    p_ += 8;
-    return v;
-}
-
-std::int32_t
-WireReader::getI32()
-{
-    return static_cast<std::int32_t>(getU32());
-}
-
-double
-WireReader::getF64()
-{
-    std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-std::string
-WireReader::getString()
-{
-    std::uint32_t len = getU32();
-    need(len);
-    std::string s(reinterpret_cast<const char *>(p_), len);
-    p_ += len;
-    return s;
-}
-
-Buffer
-WireReader::getBytes()
-{
-    std::uint64_t len = getU64();
-    need(static_cast<std::size_t>(len));
-    Buffer b(p_, p_ + static_cast<std::size_t>(len));
-    p_ += static_cast<std::size_t>(len);
-    return b;
-}
-
 // ----------------------------------------------------- typed messages
 
 Buffer
 encodeHello(const HelloMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putU32(m.protocolVersion);
     w.putString(m.scenario);
     w.putU64(m.baseSeed);
     w.putI32(m.trialsPerPoint);
     w.putU64(m.numPoints);
     w.putU64(m.gridFp);
-    return w.take();
+    return out;
 }
 
 HelloMsg
 decodeHello(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     HelloMsg m;
     m.protocolVersion = r.getU32();
     if (m.protocolVersion != kProtocolVersion)
@@ -343,16 +204,17 @@ decodeHello(const Buffer &payload)
 Buffer
 encodeHelloAck(const HelloAckMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putI32(m.pid);
     w.putU64(m.gridFp);
-    return w.take();
+    return out;
 }
 
 HelloAckMsg
 decodeHelloAck(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     HelloAckMsg m;
     m.pid = r.getI32();
     m.gridFp = r.getU64();
@@ -362,17 +224,18 @@ decodeHelloAck(const Buffer &payload)
 Buffer
 encodeAssign(const AssignMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putU32(static_cast<std::uint32_t>(m.pointIndices.size()));
     for (std::uint64_t idx : m.pointIndices)
         w.putU64(idx);
-    return w.take();
+    return out;
 }
 
 AssignMsg
 decodeAssign(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     AssignMsg m;
     std::uint32_t n = r.getU32();
     m.pointIndices.reserve(n);
@@ -384,26 +247,31 @@ decodeAssign(const Buffer &payload)
 Buffer
 encodeSnapshot(const SnapshotMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putString(m.key);
-    w.putBytes(m.bytes);
-    return w.take();
+    w.putU64(m.bytes.size());
+    w.putBytes(m.bytes.data(), m.bytes.size());
+    return out;
 }
 
 SnapshotMsg
 decodeSnapshot(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     SnapshotMsg m;
     m.key = r.getString();
-    m.bytes = r.getBytes();
+    std::size_t n = static_cast<std::size_t>(r.getU64());
+    const std::uint8_t *bytes = r.bytes(n);
+    m.bytes.assign(bytes, bytes + n);
     return m;
 }
 
 Buffer
 encodeResult(const ResultMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putU64(m.pointIndex);
     w.putU32(static_cast<std::uint32_t>(m.trials.size()));
     for (const exp::TrialRecord &rec : m.trials) {
@@ -415,13 +283,13 @@ encodeResult(const ResultMsg &m)
             w.putF64(metric.second);
         }
     }
-    return w.take();
+    return out;
 }
 
 ResultMsg
 decodeResult(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     ResultMsg m;
     m.pointIndex = r.getU64();
     std::uint32_t n_trials = r.getU32();
@@ -444,15 +312,16 @@ decodeResult(const Buffer &payload)
 Buffer
 encodeHeartbeat(const HeartbeatMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putU64(m.pointIndex);
-    return w.take();
+    return out;
 }
 
 HeartbeatMsg
 decodeHeartbeat(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     HeartbeatMsg m;
     m.pointIndex = r.getU64();
     return m;
@@ -461,15 +330,16 @@ decodeHeartbeat(const Buffer &payload)
 Buffer
 encodeError(const ErrorMsg &m)
 {
-    WireWriter w;
+    Buffer out;
+    io::ByteWriter w(out);
     w.putString(m.message);
-    return w.take();
+    return out;
 }
 
 ErrorMsg
 decodeError(const Buffer &payload)
 {
-    WireReader r(payload);
+    Reader r = reader(payload);
     ErrorMsg m;
     m.message = r.getString();
     return m;

@@ -1,21 +1,24 @@
 /**
  * @file
  * Wire protocol between the shard coordinator and its worker
- * processes: length-prefixed, CRC-framed messages over pipes.
+ * processes: CRC-framed messages over pipes.
  *
- * Frame layout (all integers little-endian, widths explicit):
+ * Every message is one chunk frame (state/chunkio.hh) whose kind is
+ * the MsgType:
  *
- *   u32 magic "ICHW" | u32 type | u64 payloadLen | u32 crc32(hdr16 || payload)
- *   payload bytes
+ *   u32 magic "ICKF" | u32 type | u32 payloadLen | payload | u32 crc32
  *
- * The CRC covers the first 16 header bytes (magic, type, length) and
- * then the payload, so a re-labelled, truncated or garbled frame surfaces
- * as a clean ProtocolError before any message field is interpreted —
- * the same loud-failure discipline as state::ArchiveReader. Payloads
- * are encoded with WireWriter/WireReader: explicit widths, raw
- * IEEE-754 bits for doubles, bounds-checked reads. A sharded sweep's
- * metric values therefore round-trip bit-exactly, which is what makes
- * `--shard N` byte-identical to an in-process run.
+ * The CRC covers the whole frame (magic, type, length and payload), so
+ * a re-labelled, truncated or garbled frame surfaces as a clean
+ * ProtocolError before any message field is interpreted — the same
+ * loud-failure discipline as the chunk-file scanner, through the same
+ * validator (state::checkChunkFrame). A pipe additionally bounds the
+ * length at kMaxFrameBytes, so a garbage header fails at once instead
+ * of allocating or waiting for bytes that never come. Payloads are
+ * encoded with the io/codec.hh ByteWriter/ByteReader: explicit widths,
+ * raw IEEE-754 bits for doubles, bounds-checked reads. A sharded
+ * sweep's metric values therefore round-trip bit-exactly, which is what
+ * makes `--shard N` byte-identical to an in-process run.
  *
  * Message vocabulary (coordinator = C, worker = W):
  *
@@ -58,12 +61,10 @@ class ProtocolError : public std::runtime_error
 
 using Buffer = std::vector<std::uint8_t>;
 
-/** "ICHW" */
-constexpr std::uint32_t kFrameMagic = 0x57484349u;
-constexpr std::uint32_t kProtocolVersion = 2;
+/** v3: every message travels as a chunk frame. */
+constexpr std::uint32_t kProtocolVersion = 3;
 /** Sanity bound on payloadLen: rejects garbage headers loudly. */
 constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 4;
 
 enum class MsgType : std::uint32_t {
     kHello = 1,
@@ -85,18 +86,17 @@ struct Frame {
     Buffer payload;
 };
 
-/** Serialize a frame (header + payload) into a byte vector. */
-Buffer encodeFrame(MsgType type, const Buffer &payload);
-
 /**
- * Blocking, EINTR-safe frame write to @p fd. Throws ProtocolError when
- * the peer is gone (EPIPE) or the write fails.
+ * Blocking, EINTR-safe frame write to @p fd (fault site shard.send).
+ * Throws ProtocolError when the peer is gone (EPIPE) or the write
+ * fails.
  */
 void writeFrame(int fd, MsgType type, const Buffer &payload);
 
 /**
- * Blocking, EINTR-safe frame read from @p fd. Throws ProtocolError on
- * EOF, bad magic, oversized length, or CRC mismatch.
+ * Blocking, EINTR-safe frame read from @p fd (fault site shard.recv).
+ * Throws ProtocolError on EOF, bad magic, oversized length, or CRC
+ * mismatch.
  */
 Frame readFrame(int fd);
 
@@ -116,46 +116,6 @@ class FrameDecoder
   private:
     Buffer buf_;
     std::size_t pos_ = 0; ///< consumed prefix, compacted lazily
-};
-
-/** Append-only payload builder with explicit widths. */
-class WireWriter
-{
-  public:
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
-    void putI32(std::int32_t v);
-    /** Raw IEEE-754 bits: metric values round-trip bit-exactly. */
-    void putF64(double v);
-    void putString(const std::string &v);
-    void putBytes(const Buffer &v);
-
-    Buffer take() { return std::move(buf_); }
-
-  private:
-    Buffer buf_;
-};
-
-/** Bounds-checked payload cursor; throws ProtocolError on truncation. */
-class WireReader
-{
-  public:
-    explicit WireReader(const Buffer &buf) : p_(buf.data()), end_(buf.data() + buf.size()) {}
-
-    std::uint32_t getU32();
-    std::uint64_t getU64();
-    std::int32_t getI32();
-    double getF64();
-    std::string getString();
-    Buffer getBytes();
-
-    std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
-
-  private:
-    const std::uint8_t *p_;
-    const std::uint8_t *end_;
-
-    void need(std::size_t n) const;
 };
 
 // --------------------------------------------------- typed messages

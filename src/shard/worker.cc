@@ -12,8 +12,10 @@
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
 #include "fault/fault.hh"
+#include "io/fileops.hh"
 #include "shard/protocol.hh"
 #include "state/archive.hh"
+#include "state/chunkio.hh"
 
 namespace ich
 {
@@ -316,16 +318,20 @@ runWorker(const exp::ScenarioRegistry &registry, const WorkerConfig &cfg)
                         // the encoded frame and die mid-frame, so the
                         // coordinator's decoder sees a partial frame
                         // followed by EOF.
-                        Buffer wire = encodeFrame(
-                            MsgType::kResult, encodeResult(result));
+                        Buffer wire;
+                        state::appendChunkFrame(
+                            wire,
+                            static_cast<std::uint32_t>(MsgType::kResult),
+                            encodeResult(result));
                         std::size_t k = wire.size() < 2
                                             ? 0
                                             : 1 + tear % (wire.size() - 1);
                         std::size_t sent = 0;
                         while (sent < k) {
-                            ssize_t n = ::write(cfg.outFd,
-                                                wire.data() + sent,
-                                                k - sent);
+                            ssize_t n = io::write(cfg.outFd,
+                                                  wire.data() + sent,
+                                                  k - sent, "shard.send",
+                                                  nullptr);
                             if (n <= 0)
                                 break;
                             sent += static_cast<std::size_t>(n);

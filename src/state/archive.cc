@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "io/codec.hh"
 #include "io/fileops.hh"
 
 namespace ich
@@ -168,26 +169,14 @@ readFile(const std::string &path)
 
 // ------------------------------------------------------------- writer
 
-void
-ArchiveWriter::raw32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        payload_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-ArchiveWriter::raw64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        payload_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
+io::ByteWriter
 ArchiveWriter::tagged(std::uint8_t tag)
 {
     if (!inSection_)
         throw ArchiveError("ArchiveWriter: value outside a section");
-    raw8(tag);
+    io::ByteWriter w(payload_);
+    w.putU8(tag);
+    return w;
 }
 
 void
@@ -196,10 +185,10 @@ ArchiveWriter::beginSection(const std::string &name)
     if (inSection_)
         throw ArchiveError("ArchiveWriter: sections cannot nest");
     inSection_ = true;
-    raw32(static_cast<std::uint32_t>(name.size()));
-    payload_.insert(payload_.end(), name.begin(), name.end());
-    bodyLenPos_ = payload_.size();
-    raw32(0); // patched in endSection()
+    io::ByteWriter w(payload_);
+    w.putString(name);
+    bodyLenPos_ = w.size();
+    w.putU32(0); // patched in endSection()
 }
 
 void
@@ -208,64 +197,51 @@ ArchiveWriter::endSection()
     if (!inSection_)
         throw ArchiveError("ArchiveWriter: endSection without begin");
     inSection_ = false;
-    std::uint32_t body_len =
-        static_cast<std::uint32_t>(payload_.size() - bodyLenPos_ - 4);
-    for (int i = 0; i < 4; ++i)
-        payload_[bodyLenPos_ + i] =
-            static_cast<std::uint8_t>(body_len >> (8 * i));
+    io::ByteWriter(payload_).patch32(
+        bodyLenPos_,
+        static_cast<std::uint32_t>(payload_.size() - bodyLenPos_ - 4));
 }
 
 void
 ArchiveWriter::putBool(bool v)
 {
-    tagged(kTagBool);
-    raw8(v ? 1 : 0);
+    tagged(kTagBool).putU8(v ? 1 : 0);
 }
 
 void
 ArchiveWriter::putU8(std::uint8_t v)
 {
-    tagged(kTagU8);
-    raw8(v);
+    tagged(kTagU8).putU8(v);
 }
 
 void
 ArchiveWriter::putU32(std::uint32_t v)
 {
-    tagged(kTagU32);
-    raw32(v);
+    tagged(kTagU32).putU32(v);
 }
 
 void
 ArchiveWriter::putU64(std::uint64_t v)
 {
-    tagged(kTagU64);
-    raw64(v);
+    tagged(kTagU64).putU64(v);
 }
 
 void
 ArchiveWriter::putI32(std::int32_t v)
 {
-    tagged(kTagI32);
-    raw32(static_cast<std::uint32_t>(v));
+    tagged(kTagI32).putI32(v);
 }
 
 void
 ArchiveWriter::putF64(double v)
 {
-    tagged(kTagF64);
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v, "IEEE-754 double expected");
-    std::memcpy(&bits, &v, sizeof bits);
-    raw64(bits);
+    tagged(kTagF64).putF64(v);
 }
 
 void
 ArchiveWriter::putString(const std::string &v)
 {
-    tagged(kTagString);
-    raw32(static_cast<std::uint32_t>(v.size()));
-    payload_.insert(payload_.end(), v.begin(), v.end());
+    tagged(kTagString).putString(v);
 }
 
 Buffer
@@ -275,19 +251,12 @@ ArchiveWriter::finish() const
         throw ArchiveError("ArchiveWriter: finish with an open section");
     Buffer out;
     out.reserve(kHeaderSize + payload_.size());
-    auto push32 = [&out](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    auto push64 = [&out](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    push32(kArchiveMagic);
-    push32(kArchiveVersion);
-    push64(payload_.size());
-    push32(crc32(payload_.data(), payload_.size()));
-    out.insert(out.end(), payload_.begin(), payload_.end());
+    io::ByteWriter w(out);
+    w.putU32(kArchiveMagic);
+    w.putU32(kArchiveVersion);
+    w.putU64(payload_.size());
+    w.putU32(crc32(payload_.data(), payload_.size()));
+    w.putBytes(payload_.data(), payload_.size());
     return out;
 }
 
@@ -299,169 +268,96 @@ ArchiveWriter::writeFile(const std::string &path) const
 
 // ------------------------------------------------------------- reader
 
-SectionReader::SectionReader(std::string name, const std::uint8_t *begin,
-                             const std::uint8_t *end)
-    : name_(std::move(name)), p_(begin), end_(end)
+SectionReader::SectionReader(const std::string &name,
+                             const std::uint8_t *begin, std::size_t size)
+    : name_(name), in_(begin, size, "archive section", name.c_str())
 {
 }
 
-void
-SectionReader::need(std::size_t n, const char *what) const
-{
-    if (static_cast<std::size_t>(end_ - p_) < n)
-        throw ArchiveError("section '" + name_ + "': truncated " + what);
-}
-
-void
+SectionReader::Reader &
 SectionReader::expectTag(std::uint8_t tag, const char *what)
 {
-    need(1, "type tag");
-    std::uint8_t got = *p_++;
+    std::uint8_t got = in_.getU8();
     if (got != tag)
         throw ArchiveError("section '" + name_ + "': expected " + what +
                            ", found " + tagName(got));
-}
-
-std::uint32_t
-SectionReader::raw32()
-{
-    need(4, "value");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p_[i]) << (8 * i);
-    p_ += 4;
-    return v;
-}
-
-std::uint64_t
-SectionReader::raw64()
-{
-    need(8, "value");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
-    p_ += 8;
-    return v;
+    return in_;
 }
 
 bool
 SectionReader::getBool()
 {
-    expectTag(kTagBool, "bool");
-    need(1, "value");
-    return *p_++ != 0;
+    return expectTag(kTagBool, "bool").getU8() != 0;
 }
 
 std::uint8_t
 SectionReader::getU8()
 {
-    expectTag(kTagU8, "u8");
-    need(1, "value");
-    return *p_++;
+    return expectTag(kTagU8, "u8").getU8();
 }
 
 std::uint32_t
 SectionReader::getU32()
 {
-    expectTag(kTagU32, "u32");
-    return raw32();
+    return expectTag(kTagU32, "u32").getU32();
 }
 
 std::uint64_t
 SectionReader::getU64()
 {
-    expectTag(kTagU64, "u64");
-    return raw64();
+    return expectTag(kTagU64, "u64").getU64();
 }
 
 std::int32_t
 SectionReader::getI32()
 {
-    expectTag(kTagI32, "i32");
-    return static_cast<std::int32_t>(raw32());
+    return expectTag(kTagI32, "i32").getI32();
 }
 
 double
 SectionReader::getF64()
 {
-    expectTag(kTagF64, "f64");
-    std::uint64_t bits = raw64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    return expectTag(kTagF64, "f64").getF64();
 }
 
 std::string
 SectionReader::getString()
 {
-    expectTag(kTagString, "string");
-    std::uint32_t len = raw32();
-    need(len, "string body");
-    std::string s(reinterpret_cast<const char *>(p_), len);
-    p_ += len;
-    return s;
+    return expectTag(kTagString, "string").getString();
 }
 
 ArchiveReader::ArchiveReader(Buffer data) : data_(std::move(data))
 {
-    if (data_.size() < kHeaderSize)
-        throw ArchiveError("archive truncated: " +
-                           std::to_string(data_.size()) +
-                           " bytes is smaller than the header");
-    auto read32 = [this](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[at + i]) << (8 * i);
-        return v;
-    };
-    auto read64 = [this](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[at + i]) << (8 * i);
-        return v;
-    };
-    if (read32(0) != kArchiveMagic)
+    io::ByteReader<ArchiveError> in(data_.data(), data_.size(),
+                                    "archive");
+    if (in.getU32() != kArchiveMagic)
         throw ArchiveError("not a state archive (bad magic)");
-    std::uint32_t version = read32(4);
+    std::uint32_t version = in.getU32();
     if (version != kArchiveVersion)
         throw ArchiveError(
             "archive version mismatch: file has v" +
             std::to_string(version) + ", this build reads v" +
             std::to_string(kArchiveVersion));
-    std::uint64_t payload_len = read64(8);
+    std::uint64_t payload_len = in.getU64();
     if (payload_len != data_.size() - kHeaderSize)
         throw ArchiveError("archive truncated: header promises " +
                            std::to_string(payload_len) +
                            " payload bytes, file carries " +
                            std::to_string(data_.size() - kHeaderSize));
-    std::uint32_t expect_crc = read32(16);
+    std::uint32_t expect_crc = in.getU32();
     std::uint32_t got_crc = crc32(data_.data() + kHeaderSize,
                                   static_cast<std::size_t>(payload_len));
     if (expect_crc != got_crc)
         throw ArchiveError("archive CRC mismatch (corrupt payload)");
 
     // Index the sections.
-    std::size_t pos = kHeaderSize;
-    const std::size_t end = data_.size();
-    while (pos < end) {
-        if (end - pos < 4)
-            throw ArchiveError("corrupt section table (name length)");
-        std::uint32_t name_len = read32(pos);
-        pos += 4;
-        if (end - pos < name_len)
-            throw ArchiveError("corrupt section table (name)");
-        std::string name(reinterpret_cast<const char *>(&data_[pos]),
-                         name_len);
-        pos += name_len;
-        if (end - pos < 4)
-            throw ArchiveError("corrupt section table (body length)");
-        std::uint32_t body_len = read32(pos);
-        pos += 4;
-        if (end - pos < body_len)
-            throw ArchiveError("corrupt section table (body)");
+    while (in.remaining() > 0) {
+        std::string name = in.getString();
+        std::uint32_t body_len = in.getU32();
+        std::size_t pos =
+            static_cast<std::size_t>(in.bytes(body_len) - data_.data());
         if (!index_.emplace(name, std::make_pair(pos, body_len)).second)
             throw ArchiveError("duplicate section '" + name + "'");
-        pos += body_len;
     }
 }
 
@@ -483,8 +379,8 @@ ArchiveReader::open(const std::string &name) const
     auto it = index_.find(name);
     if (it == index_.end())
         throw ArchiveError("archive has no section '" + name + "'");
-    const std::uint8_t *begin = data_.data() + it->second.first;
-    return SectionReader(name, begin, begin + it->second.second);
+    return SectionReader(it->first, data_.data() + it->second.first,
+                         it->second.second);
 }
 
 std::vector<std::string>

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "io/codec.hh"
+
 namespace ich
 {
 namespace state
@@ -99,10 +101,8 @@ class ArchiveWriter
     bool inSection_ = false;
     std::size_t bodyLenPos_ = 0; ///< offset of the open section's bodyLen
 
-    void raw8(std::uint8_t v) { payload_.push_back(v); }
-    void raw32(std::uint32_t v);
-    void raw64(std::uint64_t v);
-    void tagged(std::uint8_t tag);
+    /** Writes @p tag; the returned writer appends the value. */
+    io::ByteWriter tagged(std::uint8_t tag);
 };
 
 /**
@@ -112,8 +112,9 @@ class ArchiveWriter
 class SectionReader
 {
   public:
-    SectionReader(std::string name, const std::uint8_t *begin,
-                  const std::uint8_t *end);
+    /** @p name must outlive the reader (ArchiveReader's index key). */
+    SectionReader(const std::string &name, const std::uint8_t *begin,
+                  std::size_t size);
 
     bool getBool();
     std::uint8_t getU8();
@@ -124,22 +125,19 @@ class SectionReader
     std::string getString();
 
     /** Bytes not yet consumed (0 when fully read). */
-    std::size_t remaining() const
-    {
-        return static_cast<std::size_t>(end_ - p_);
-    }
+    std::size_t remaining() const { return in_.remaining(); }
 
     const std::string &name() const { return name_; }
 
   private:
-    std::string name_;
-    const std::uint8_t *p_;
-    const std::uint8_t *end_;
+    using Reader = io::ByteReader<ArchiveError>;
 
-    void need(std::size_t n, const char *what) const;
-    void expectTag(std::uint8_t tag, const char *what);
-    std::uint32_t raw32();
-    std::uint64_t raw64();
+    std::string name_;
+    Reader in_;
+
+    /** Consume the type tag (throwing on a mismatch); read the value
+     *  from the returned reader. */
+    Reader &expectTag(std::uint8_t tag, const char *what);
 };
 
 /**

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "io/codec.hh"
 #include "io/fileops.hh"
 
 namespace ich
@@ -18,25 +19,6 @@ namespace state
 
 namespace
 {
-
-constexpr std::size_t kFrameHeaderSize = 4 + 4 + 4; // magic | kind | len
-constexpr std::size_t kFrameTrailerSize = 4;        // crc32(body)
-
-void
-put32(Buffer &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t
-get32(const std::uint8_t *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 /**
  * pread exactly @p count bytes at @p off, retrying EINTR and partial
@@ -84,24 +66,17 @@ void
 requireTearIsTail(int fd, const std::string &path,
                   std::uint64_t tear_off, std::uint64_t size)
 {
-    constexpr std::size_t kMinFrame =
-        kFrameHeaderSize + kFrameTrailerSize;
     std::uint64_t tail_len = size - tear_off;
     // The torn frame's header occupies the first bytes of the tail, so
     // a buried intact frame needs at least one more header's worth.
-    if (tail_len < kFrameHeaderSize + kMinFrame)
+    if (tail_len < kChunkFrameHeaderBytes + kChunkFrameOverheadBytes)
         return;
     Buffer tail(static_cast<std::size_t>(tail_len));
     preadExact(fd, tail.data(), tail.size(), tear_off, path);
-    for (std::size_t i = 1; i + kMinFrame <= tail.size(); ++i) {
-        if (get32(tail.data() + i) != kChunkFrameMagic)
-            continue;
-        std::uint32_t len = get32(tail.data() + i + 8);
-        if (len > tail.size() - i - kMinFrame)
-            continue;
-        const std::uint8_t *f = tail.data() + i;
-        if (get32(f + kFrameHeaderSize + len) ==
-            crc32(f, kFrameHeaderSize + len))
+    for (std::size_t i = 1; i + kChunkFrameOverheadBytes <= tail.size();
+         ++i) {
+        if (checkChunkFrame(tail.data() + i, tail.size() - i).status ==
+            ChunkFrameCheck::kComplete)
             throw ArchiveError(
                 "chunkio: intact frame found after an incomplete frame "
                 "in '" + path + "' at offset " +
@@ -132,14 +107,43 @@ void
 appendChunkFrame(Buffer &out, std::uint32_t kind, const Buffer &body)
 {
     const std::size_t start = out.size();
-    put32(out, kChunkFrameMagic);
-    put32(out, kind);
-    put32(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    io::ByteWriter w(out);
+    w.putU32(kChunkFrameMagic);
+    w.putU32(kind);
+    w.putU32(static_cast<std::uint32_t>(body.size()));
+    w.putBytes(body.data(), body.size());
     // The CRC covers the whole frame, header included (see chunkio.hh):
     // a bodyLen or kind bit-flip must fail the checksum, not redefine
     // how the rest of the file parses.
-    put32(out, crc32(out.data() + start, out.size() - start));
+    w.putU32(crc32(out.data() + start, out.size() - start));
+}
+
+ChunkFrameCheck
+checkChunkFrame(const std::uint8_t *data, std::size_t size,
+                std::uint64_t max_body)
+{
+    ChunkFrameCheck c;
+    if (size < kChunkFrameHeaderBytes)
+        return c; // kIncomplete
+    io::ByteReader<ArchiveError> in(data, size, "chunk frame");
+    if (in.getU32() != kChunkFrameMagic) {
+        c.status = ChunkFrameCheck::kBadMagic;
+        return c;
+    }
+    c.kind = in.getU32();
+    c.bodyLen = in.getU32();
+    if (c.bodyLen > max_body)
+        c.status = ChunkFrameCheck::kTooLong;
+    else if (size < c.frameBytes())
+        c.status = ChunkFrameCheck::kIncomplete;
+    else {
+        in.bytes(c.bodyLen);
+        const std::size_t covered = kChunkFrameHeaderBytes + c.bodyLen;
+        c.status = in.getU32() == crc32(data, covered)
+                       ? ChunkFrameCheck::kComplete
+                       : ChunkFrameCheck::kBadCrc;
+    }
+    return c;
 }
 
 // ------------------------------------------------------------- writer
@@ -239,7 +243,7 @@ ChunkFileWriter::append(std::uint32_t kind, const Buffer &body)
     if (fd_ < 0)
         throw ArchiveError("chunkio: append on a closed writer");
     Buffer frame;
-    frame.reserve(kFrameHeaderSize + body.size() + kFrameTrailerSize);
+    frame.reserve(kChunkFrameOverheadBytes + body.size());
     appendChunkFrame(frame, kind, body);
     writeAll(frame);
     if (durable_ &&
@@ -308,18 +312,17 @@ ChunkFileScanner::next(ChunkFrame &frame)
     if (off_ >= size_)
         return false;
     std::uint64_t avail = size_ - off_;
-    if (avail < kFrameHeaderSize + kFrameTrailerSize) {
+    if (avail < kChunkFrameOverheadBytes) {
         torn_ = true;
         return false;
     }
-    std::uint8_t hdr[kFrameHeaderSize];
-    preadExact(fd_, hdr, sizeof hdr, off_, path_);
-    if (get32(hdr) != kChunkFrameMagic)
+    Buffer bytes(kChunkFrameHeaderBytes);
+    preadExact(fd_, bytes.data(), bytes.size(), off_, path_);
+    ChunkFrameCheck c = checkChunkFrame(bytes.data(), bytes.size());
+    if (c.status == ChunkFrameCheck::kBadMagic)
         throw ArchiveError("chunkio: bad frame magic in '" + path_ +
                            "' at offset " + std::to_string(off_));
-    std::uint32_t kind = get32(hdr + 4);
-    std::uint32_t body_len = get32(hdr + 8);
-    if (avail - kFrameHeaderSize < body_len + kFrameTrailerSize) {
+    if (avail < c.frameBytes()) {
         // The frame header landed but the body/CRC didn't: a torn
         // append — unless intact frames follow, in which case this is
         // a corrupt length field and requireTearIsTail() throws.
@@ -327,23 +330,21 @@ ChunkFileScanner::next(ChunkFrame &frame)
         torn_ = true;
         return false;
     }
-    Buffer body(body_len);
-    if (body_len > 0)
-        preadExact(fd_, body.data(), body_len, off_ + kFrameHeaderSize,
-                   path_);
-    std::uint8_t crc_bytes[kFrameTrailerSize];
-    preadExact(fd_, crc_bytes, sizeof crc_bytes,
-               off_ + kFrameHeaderSize + body_len, path_);
-    if (get32(crc_bytes) !=
-        crc32(body.data(), body.size(), crc32(hdr, sizeof hdr)))
+    bytes.resize(c.frameBytes());
+    preadExact(fd_, bytes.data() + kChunkFrameHeaderBytes,
+               bytes.size() - kChunkFrameHeaderBytes,
+               off_ + kChunkFrameHeaderBytes, path_);
+    if (checkChunkFrame(bytes.data(), bytes.size()).status !=
+        ChunkFrameCheck::kComplete)
         throw ArchiveError("chunkio: CRC mismatch in '" + path_ +
                            "' at offset " + std::to_string(off_) +
                            " (corrupt chunk)");
     lastOff_ = off_;
-    off_ += kFrameHeaderSize + body_len + kFrameTrailerSize;
+    off_ += c.frameBytes();
     valid_ = std::max(valid_, off_);
-    frame.kind = kind;
-    frame.body = std::move(body);
+    frame.kind = c.kind;
+    auto body = bytes.begin() + kChunkFrameHeaderBytes;
+    frame.body.assign(body, body + c.bodyLen);
     return true;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * CRC-framed append-only chunk files: the shared framing layer under
- * the columnar result store (exp/colstore) and columnar trace spills
- * (measure/trace).
+ * CRC-framed chunks: the one frame format of the repository. Chunk
+ * files carry the columnar result store (exp/colstore) and columnar
+ * trace spills (measure/trace); the shard wire (shard/protocol) sends
+ * the same frames over pipes, with the message type as the kind.
  *
  * A chunk file is a flat sequence of frames:
  *
@@ -54,6 +55,10 @@ namespace state
 
 /** "ICKF" — guards every frame boundary. */
 constexpr std::uint32_t kChunkFrameMagic = 0x464B4349u;
+/** magic | kind | bodyLen in front of the body. */
+constexpr std::size_t kChunkFrameHeaderBytes = 4 + 4 + 4;
+/** Header plus the crc32 trailer: a frame's size around its body. */
+constexpr std::size_t kChunkFrameOverheadBytes = kChunkFrameHeaderBytes + 4;
 
 /** One decoded frame. */
 struct ChunkFrame {
@@ -63,6 +68,34 @@ struct ChunkFrame {
 
 /** Serialize one frame onto @p out (in-memory composition). */
 void appendChunkFrame(Buffer &out, std::uint32_t kind, const Buffer &body);
+
+/** What checkChunkFrame() found at the front of a byte range. */
+struct ChunkFrameCheck {
+    enum Status {
+        kIncomplete, ///< no complete frame yet (header or body missing)
+        kComplete,   ///< a whole frame whose CRC matches
+        kBadMagic,
+        kTooLong,    ///< bodyLen above the caller's bound
+        kBadCrc,
+    };
+    Status status = kIncomplete;
+    std::uint32_t kind = 0;    ///< valid once the header is present
+    std::uint32_t bodyLen = 0; ///< valid once the header is present
+    std::size_t frameBytes() const
+    {
+        return kChunkFrameOverheadBytes + bodyLen;
+    }
+};
+
+/**
+ * The one frame validator: every reader of chunk frames (the file
+ * scanner, its torn-tail check and the shard pipe decoders) calls it.
+ * Inspects the @p size bytes at @p data: a header is checked as soon
+ * as it is present (magic, then bodyLen against @p max_body), the CRC
+ * once the whole frame is. Callers map the status to their own error.
+ */
+ChunkFrameCheck checkChunkFrame(const std::uint8_t *data, std::size_t size,
+                                std::uint64_t max_body = UINT32_MAX);
 
 /**
  * Appends frames to a chunk file. Not thread-safe; callers serialize.

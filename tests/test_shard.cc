@@ -33,6 +33,7 @@
 #include "chip/simulation.hh"
 #include "exp/exp.hh"
 #include "shard/shard.hh"
+#include "state/chunkio.hh"
 #include "state/state.hh"
 
 namespace ich
@@ -43,6 +44,15 @@ namespace
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kWarmSeed = 0x5EEDu;
+
+/** One shard message as it travels the pipe: a chunk frame. */
+shard::Buffer
+frameOf(shard::MsgType type, const shard::Buffer &payload)
+{
+    shard::Buffer f;
+    state::appendChunkFrame(f, static_cast<std::uint32_t>(type), payload);
+    return f;
+}
 
 // ------------------------------------------------------- test scenarios
 
@@ -248,7 +258,7 @@ TEST(ShardProtocol, MessagesRoundTripThroughTheDecoder)
     // decoder in awkward 7-byte chunks (pipe reads are arbitrary).
     shard::Buffer stream;
     auto append = [&stream](shard::MsgType t, const shard::Buffer &p) {
-        shard::Buffer f = shard::encodeFrame(t, p);
+        shard::Buffer f = frameOf(t, p);
         stream.insert(stream.end(), f.begin(), f.end());
     };
     append(shard::MsgType::kHello, shard::encodeHello(hello));
@@ -321,9 +331,8 @@ TEST(ShardProtocol, AssignBatchesRoundTrip)
 TEST(ShardProtocol, GarbledPayloadFailsTheCrc)
 {
     shard::Buffer f =
-        shard::encodeFrame(shard::MsgType::kAssign,
-                           shard::encodeAssign({{3}}));
-    f[shard::kFrameHeaderBytes] ^= 0x01; // flip one payload bit
+        frameOf(shard::MsgType::kAssign, shard::encodeAssign({{3}}));
+    f[state::kChunkFrameHeaderBytes] ^= 0x01; // flip one payload bit
 
     shard::FrameDecoder dec;
     dec.feed(f.data(), f.size());
@@ -336,15 +345,14 @@ TEST(ShardProtocol, GarbledPayloadFailsTheCrc)
 TEST(ShardProtocol, GarbledHeaderFailsTheCrc)
 {
     const shard::Buffer good =
-        shard::encodeFrame(shard::MsgType::kAssign,
-                           shard::encodeAssign({{3}}));
+        frameOf(shard::MsgType::kAssign, shard::encodeAssign({{3}}));
 
     shard::Buffer relabelled = good;
     // type lives at bytes [4, 8): kAssign (3) -> kResult (6).
     relabelled[4] = static_cast<std::uint8_t>(shard::MsgType::kResult);
 
     shard::Buffer shrunk = good;
-    // payloadLen lives at bytes [8, 16); drop the payload's last byte.
+    // payloadLen lives at bytes [8, 12); drop the payload's last byte.
     ASSERT_GT(shrunk[8], 0);
     --shrunk[8];
 
@@ -367,8 +375,7 @@ TEST(ShardProtocol, GarbledHeaderFailsTheCrc)
 TEST(ShardProtocol, BadMagicAndOversizedLengthAreRejected)
 {
     shard::Buffer good =
-        shard::encodeFrame(shard::MsgType::kHeartbeat,
-                           shard::encodeHeartbeat({1}));
+        frameOf(shard::MsgType::kHeartbeat, shard::encodeHeartbeat({1}));
 
     shard::Buffer bad_magic = good;
     bad_magic[0] ^= 0xFF;
@@ -380,8 +387,8 @@ TEST(ShardProtocol, BadMagicAndOversizedLengthAreRejected)
     }
 
     shard::Buffer oversized = good;
-    // payloadLen lives at bytes [8, 16); make it absurd.
-    for (int i = 8; i < 16; ++i)
+    // payloadLen lives at bytes [8, 12); make it absurd.
+    for (int i = 8; i < 12; ++i)
         oversized[static_cast<std::size_t>(i)] = 0xFF;
     {
         shard::FrameDecoder dec;
@@ -394,8 +401,7 @@ TEST(ShardProtocol, BadMagicAndOversizedLengthAreRejected)
 TEST(ShardProtocol, TruncatedStreamNeedsMoreBytesButReadFrameThrows)
 {
     shard::Buffer f =
-        shard::encodeFrame(shard::MsgType::kAssign,
-                           shard::encodeAssign({{9}}));
+        frameOf(shard::MsgType::kAssign, shard::encodeAssign({{9}}));
 
     // The incremental decoder treats a partial frame as "not yet".
     shard::FrameDecoder dec;

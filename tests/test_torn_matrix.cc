@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -29,6 +28,7 @@
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
 #include "exp/scenario.hh"
+#include "io/codec.hh"
 #include "state/chunkio.hh"
 
 namespace ich
@@ -53,14 +53,6 @@ struct TempDir {
     }
 };
 
-std::uint64_t
-bitsOf(double d)
-{
-    std::uint64_t b;
-    std::memcpy(&b, &d, sizeof b);
-    return b;
-}
-
 void
 copyTruncated(const std::string &src, const std::string &dst,
               std::uint64_t len)
@@ -74,11 +66,10 @@ patchU32(const std::string &path, std::uint64_t offset, std::uint32_t v)
 {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
-    char bytes[4];
-    for (int i = 0; i < 4; ++i)
-        bytes[i] = static_cast<char>(v >> (8 * i));
+    std::vector<std::uint8_t> bytes;
+    io::ByteWriter(bytes).putU32(v);
     f.seekp(static_cast<std::streamoff>(offset));
-    f.write(bytes, 4);
+    f.write(reinterpret_cast<const char *>(bytes.data()), 4);
 }
 
 void
@@ -292,7 +283,7 @@ expectBitEqual(const std::vector<exp::TrialRecord> &a,
         auto ib = b[i].metrics.begin();
         for (; ia != a[i].metrics.end(); ++ia, ++ib) {
             EXPECT_EQ(ia->first, ib->first);
-            EXPECT_EQ(bitsOf(ia->second), bitsOf(ib->second));
+            EXPECT_EQ(io::f64Bits(ia->second), io::f64Bits(ib->second));
         }
     }
 }
