@@ -608,6 +608,14 @@ garblesWire(const std::string &plan)
            plan.find("fault=bitflip") != std::string::npos;
 }
 
+/** An EINTR must be retried where it hits: recovering through a worker
+ *  respawn instead would hide a broken retry. */
+bool
+retriedInPlace(const std::string &plan)
+{
+    return plan.find("fault=eintr") != std::string::npos;
+}
+
 CycleResult
 runShardCycle(const ShardCycle &cycle, const std::string &dir,
               const std::string &golden_json)
@@ -625,7 +633,11 @@ runShardCycle(const ShardCycle &cycle, const std::string &dir,
     if (cycle.stallMs > 0)
         opts.stallTimeoutMs = cycle.stallMs;
     try {
-        exp::SweepResult sharded = shard::runSharded(shardSpec(), opts);
+        exp::MaterializeSink sink;
+        exp::StreamStats stats =
+            shard::runShardedStreaming(shardSpec(), opts, sink);
+        exp::SweepResult sharded = sink.take();
+        sharded.aggregates = exp::aggregate(sharded.points, sharded.trials);
         if (garbles) {
             res.outcome = Outcome::kFail;
             res.detail = "a garbled frame went unnoticed";
@@ -635,6 +647,13 @@ runShardCycle(const ShardCycle &cycle, const std::string &dir,
             res.outcome = Outcome::kFail;
             res.detail =
                 "sharded report diverges from the fault-free run";
+            return res;
+        }
+        if (retriedInPlace(cycle.plan) && stats.respawns != 0) {
+            res.outcome = Outcome::kFail;
+            res.detail = std::to_string(stats.respawns) +
+                         " worker respawn(s) on a fault that must be "
+                         "retried in place";
             return res;
         }
         res.outcome = Outcome::kIdentical;
@@ -854,7 +873,8 @@ buildShardCycles()
                            ":fault=eio", 23), 0, 6});
     // Pipe I/O through the io:: seam. A flipped type bit in worker 0's
     // first frame (its hello-ack) must fail the frame CRC and abort the
-    // sweep loudly; an EINTR on a worker read must simply be retried.
+    // sweep loudly; an EINTR on a worker read must simply be retried,
+    // so that cycle also fails if any worker had to be respawned.
     cycles.push_back({plan("site=shard.send:op=write:occ=1"
                            ":fault=bitflip:arg=32", 24), 0, 6});
     cycles.push_back({plan("site=shard.recv:op=read:occ=2"

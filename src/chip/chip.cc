@@ -66,6 +66,7 @@ Chip::markActivityDirty(CoreId c)
 {
     activityDirty_.at(c) = 1;
     anyActivityDirty_ = true;
+    ++activityEpoch_;
 }
 
 void
@@ -81,6 +82,7 @@ Chip::assertCoreThrottle(CoreId core, ThrottleReason reason, int initiator)
     Core &c = *cores_.at(core);
     c.touch();
     c.throttle().assertThrottle(reason, initiator);
+    ++throttleEpoch_;
     c.refresh();
 }
 
@@ -90,6 +92,7 @@ Chip::deassertCoreThrottle(CoreId core, ThrottleReason reason)
     Core &c = *cores_.at(core);
     c.touch();
     c.throttle().deassertThrottle(reason);
+    ++throttleEpoch_;
     c.refresh();
 }
 
@@ -162,6 +165,7 @@ Chip::restoreState(state::SectionReader &r, state::RestoreContext &ctx)
         core->restoreState(r, ctx);
     for (CoreId c = 0; c < coreCount(); ++c)
         markActivityDirty(c);
+    ++throttleEpoch_;
 }
 
 } // namespace ich

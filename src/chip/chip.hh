@@ -107,6 +107,19 @@ class Chip : public ChipApi, public PmuHooks
     void beforeFreqChange() override;
     ///@}
 
+    /**
+     * Bumped by every assertCoreThrottle()/deassertCoreThrottle() and by
+     * restoreState(): while it holds still, no core's ThrottleUnit
+     * (assert count, throttled state) has changed.
+     */
+    std::uint64_t throttleEpoch() const { return throttleEpoch_; }
+
+    /**
+     * Bumped whenever a core's coreActivity() entry is invalidated:
+     * while it holds still, coreActivity() returns the same values.
+     */
+    std::uint64_t activityEpoch() const { return activityEpoch_; }
+
     /** @name Convenience measurement points (the "sense resistors") */
     ///@{
     double vccVolts() const { return pmu_->volts(); }
@@ -152,6 +165,8 @@ class Chip : public ChipApi, public PmuHooks
     /** Some activityDirty_ entry is set: an all-clean query (the common
      *  case) skips the per-core loop. */
     mutable bool anyActivityDirty_ = true;
+    std::uint64_t throttleEpoch_ = 0;
+    std::uint64_t activityEpoch_ = 0;
 };
 
 } // namespace ich

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chip/chip.hh"
 #include "state/archive.hh"
 #include "state/snapshot.hh"
 
@@ -11,8 +10,8 @@ namespace ich
 namespace detect
 {
 
-CusumDetector::CusumDetector(Chip &chip, const CusumParams &p)
-    : Detector(chip), params_(p), warmupLeft_(std::max(1, p.warmupTicks))
+CusumDetector::CusumDetector(const CusumParams &p)
+    : params_(p), warmupLeft_(std::max(1, p.warmupTicks))
 {
 }
 
@@ -23,9 +22,9 @@ CusumDetector::statistic() const
 }
 
 void
-CusumDetector::observe(Time now)
+CusumDetector::observe(const Observation &obs)
 {
-    double p = chip_.powerWatts();
+    double p = obs.powerWatts;
     if (warmupLeft_ > 0) {
         warmupSum_ += p;
         if (--warmupLeft_ == 0)
@@ -39,7 +38,7 @@ CusumDetector::observe(Time now)
     freeNeg_ = std::max(0.0, freeNeg_ + (mu0_ - p - k));
     notePeak(std::max(freePos_, freeNeg_));
     bool above = std::max(sPos_, sNeg_) >= params_.threshold;
-    noteAlarmLevel(above, now);
+    noteAlarmLevel(above, obs.now);
     if (above) {
         // Classic CUSUM restart after an alarm.
         sPos_ = 0.0;

@@ -26,7 +26,7 @@ namespace detect
 class CusumDetector final : public Detector
 {
   public:
-    CusumDetector(Chip &chip, const CusumParams &p);
+    explicit CusumDetector(const CusumParams &p);
 
     const char *name() const override { return "cusum"; }
 
@@ -40,7 +40,7 @@ class CusumDetector final : public Detector
     void restoreState(state::SectionReader &r) override;
 
   protected:
-    void observe(Time now) override;
+    void observe(const Observation &obs) override;
 
   private:
     CusumParams params_;

@@ -1,5 +1,8 @@
 #include "detect/detector.hh"
 
+#include <cassert>
+#include <cstring>
+
 #include "chip/chip.hh"
 #include "detect/cusum.hh"
 #include "detect/duty.hh"
@@ -37,26 +40,82 @@ Detector::restoreState(state::SectionReader &r)
 DetectorBank::DetectorBank(Chip &chip, const DetectConfig &cfg)
     : chip_(chip), cfg_(cfg)
 {
-    // Fixed construction order — the Ticker's persistent-member
-    // contract requires a restoring bank to re-register identically.
+    // Fixed delivery order: the same detector sequence every run.
+    int cores = chip.coreCount();
     if (cfg_.enableSketch)
         detectors_.push_back(std::make_unique<SketchDetector>(
-            chip, cfg_.sketch, cfg_.tickInterval));
+            cores, cfg_.sketch, cfg_.tickInterval));
     if (cfg_.enableCusum)
-        detectors_.push_back(
-            std::make_unique<CusumDetector>(chip, cfg_.cusum));
+        detectors_.push_back(std::make_unique<CusumDetector>(cfg_.cusum));
     if (cfg_.enableDuty)
         detectors_.push_back(
-            std::make_unique<DutyCycleDetector>(chip, cfg_.duty));
-    TickRate rate{cfg_.tickInterval, 0, cfg_.tickPriority};
-    for (auto &d : detectors_)
-        chip.ticker().add(*d, rate, Ticker::Ownership::kPersistent);
+            std::make_unique<DutyCycleDetector>(cores, cfg_.duty));
+    obs_.asserts.assign(cores, 0);
+    obs_.throttled.assign(cores, 0);
+    chip.ticker().add(*this,
+                      TickRate{cfg_.tickInterval, 0, cfg_.tickPriority},
+                      Ticker::Ownership::kPersistent);
 }
 
 DetectorBank::~DetectorBank()
 {
+    chip_.ticker().remove(*this);
+}
+
+void
+DetectorBank::readChip(Time now)
+{
+    obs_.now = now;
+    std::uint64_t epoch = chip_.throttleEpoch();
+    obs_.throttleChanged = epoch != throttleEpoch_;
+    if (obs_.throttleChanged) {
+        bool any = false;
+        for (int c = 0; c < chip_.coreCount(); ++c) {
+            const ThrottleUnit &tu = chip_.core(c).throttle();
+            obs_.asserts[c] = tu.assertCount();
+            obs_.throttled[c] = tu.throttled() ? 1 : 0;
+            any = any || tu.throttled();
+        }
+        obs_.anyThrottled = any;
+        throttleEpoch_ = epoch;
+    }
+    obs_.pstateTransitions = chip_.pmu().pstateTransitions();
+
+    // Package power is a pure function of these three: a VR ramp moves
+    // the volts, so it misses the memo without any ramp tracking.
+    double volts = chip_.vccVolts();
+    double ghz = chip_.pmu().freqGhz();
+    std::uint64_t activity = chip_.activityEpoch();
+    if (activity != memoActivityEpoch_ || volts != memoVolts_ ||
+        ghz != memoGhz_) {
+        obs_.powerWatts = chip_.powerWatts();
+        memoVolts_ = volts;
+        memoGhz_ = ghz;
+        memoActivityEpoch_ = activity;
+    }
+
+#ifndef NDEBUG
+    // Oracle: a throttle change that skipped the epoch, or a power
+    // input the memo does not key on, shows up as a mismatch here.
+    bool any = false;
+    for (int c = 0; c < chip_.coreCount(); ++c) {
+        const ThrottleUnit &tu = chip_.core(c).throttle();
+        assert(obs_.asserts[c] == tu.assertCount());
+        assert((obs_.throttled[c] != 0) == tu.throttled());
+        any = any || tu.throttled();
+    }
+    assert(obs_.anyThrottled == any);
+    double fresh = chip_.powerWatts();
+    assert(std::memcmp(&fresh, &obs_.powerWatts, sizeof fresh) == 0);
+#endif
+}
+
+void
+DetectorBank::tick(Time now)
+{
+    readChip(now);
     for (auto &d : detectors_)
-        chip_.ticker().remove(*d);
+        d->deliver(obs_);
 }
 
 Detector *

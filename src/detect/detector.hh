@@ -4,20 +4,22 @@
  *
  * The paper's mitigation story (tab01) is static: attacks run,
  * mitigations dampen them, nothing *watches* for channel activity at
- * runtime. This subsystem adds the watcher: detectors ride the chip's
- * shared Ticker as Clocked members and sample — read-only — the very
- * observables the IChannels spy exploits: per-core throttle residency
- * and assert counts, P-state/frequency transitions, and package power
- * over RAPL-style windows.
+ * runtime. This subsystem adds the watcher. A DetectorBank is the one
+ * Clocked member it adds to the chip's shared Ticker. On each tick the
+ * bank reads the chip once — per-core throttle assert counts and
+ * throttle state, the P-state transition count, and package power —
+ * into an Observation, and hands that to every detector. These are the
+ * very observables the IChannels spy exploits. Detectors never touch
+ * the chip themselves.
  *
  * Contract (every concrete detector):
  *
  *  - Bounded memory: state is O(config), never O(simulated time).
  *  - Deterministic: no reads of the simulation's Rng (which would
  *    perturb the run) — a detector needing randomness (Nitrosketch
- *    sampling) derives it from its own config seed. Attaching a
- *    detector never changes channel physics: ticks only *read* chip
- *    state, so BER/TP metrics are identical with and without the bank.
+ *    sampling) derives it from its own config seed. Attaching a bank
+ *    never changes channel physics: ticks only *read* chip state, so
+ *    BER/TP metrics are identical with and without the bank.
  *  - Snapshot-composable: full saveState()/restoreState(), so a bank
  *    attached before a warm-fork snapshot restores bit-exactly in
  *    every forked trial (and across --jobs N / --shard N).
@@ -36,6 +38,7 @@
 #ifndef ICH_DETECT_DETECTOR_HH
 #define ICH_DETECT_DETECTOR_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,14 +114,37 @@ struct DetectConfig {
 };
 
 /**
+ * One bank tick's read of the chip, shared by every detector. The bank
+ * refills it in place each tick; detectors only read it.
+ */
+struct Observation {
+    Time now = 0;
+    /** Per core: ThrottleUnit::assertCount(). */
+    std::vector<std::uint64_t> asserts;
+    /** Per core: ThrottleUnit::throttled() (char, not vector<bool>). */
+    std::vector<char> throttled;
+    /**
+     * False when no core's throttle was asserted or deasserted since
+     * the previous tick, so asserts and throttled equal that tick's.
+     */
+    bool throttleChanged = true;
+    /** Some entry of throttled is set. */
+    bool anyThrottled = false;
+    /** CentralPmu::pstateTransitions(). */
+    std::uint64_t pstateTransitions = 0;
+    /** Chip::powerWatts(). */
+    double powerWatts = 0.0;
+};
+
+/**
  * Base class for online detectors. Subclasses implement observe() (one
  * sampling tick) and the state hooks; alarm bookkeeping and peak-score
  * tracking live here.
  */
-class Detector : public Clocked
+class Detector
 {
   public:
-    explicit Detector(Chip &chip) : chip_(chip) {}
+    virtual ~Detector() = default;
 
     /** Stable identifier used in metric names and archive sections. */
     virtual const char *name() const = 0;
@@ -138,24 +164,21 @@ class Detector : public Clocked
     /** Current (instantaneous) statistic — Daq probe / figures. */
     virtual double statistic() const = 0;
 
-    /** @name Clocked */
-    ///@{
+    /** One sampling tick (called by the owning DetectorBank). */
     void
-    tick(Time now) override
+    deliver(const Observation &obs)
     {
         ++samples_;
-        observe(now);
+        observe(obs);
     }
-    const char *tickName() const override { return name(); }
-    ///@}
 
     /** Serialize counters (no events owned — ticks live in the Ticker). */
     virtual void saveState(state::SaveContext &ctx) const;
     virtual void restoreState(state::SectionReader &r);
 
   protected:
-    /** One observation at @p now (read-only chip access). */
-    virtual void observe(Time now) = 0;
+    /** Fold in one tick's observation of the chip. */
+    virtual void observe(const Observation &obs) = 0;
 
     /** Track the peak of the threshold-free statistic. */
     void
@@ -181,8 +204,6 @@ class Detector : public Clocked
         wasAbove_ = above;
     }
 
-    Chip &chip_;
-
   private:
     std::uint64_t samples_ = 0;
     std::uint64_t alarms_ = 0;
@@ -192,19 +213,24 @@ class Detector : public Clocked
 };
 
 /**
- * Owns one set of detectors and their shared Ticker registration.
+ * Owns one set of detectors and is their single Ticker member.
  *
- * The bank registers every enabled detector with the chip's Ticker as
- * kPersistent members of one rate group, in a fixed order — so a bank
- * constructed with the same config on a restored Simulation satisfies
- * the Ticker's persistent-member contract and the whole arrangement
- * composes with warm-fork snapshots and --shard workers.
+ * The bank registers itself with the chip's Ticker as one kPersistent
+ * member, so a bank constructed with the same config on a restored
+ * Simulation satisfies the Ticker's persistent-member contract and the
+ * whole arrangement composes with warm-fork snapshots and --shard
+ * workers. Each tick reads the chip once into an Observation and
+ * delivers it to every enabled detector in a fixed order. The per-core
+ * arrays are rescanned only when Chip::throttleEpoch() moved, and
+ * package power is memoized on its exact inputs (rail volts, core
+ * clock, Chip::activityEpoch()). Builds without NDEBUG re-read every
+ * core and recompute power on every tick and assert both match.
  */
-class DetectorBank
+class DetectorBank final : public Clocked
 {
   public:
     DetectorBank(Chip &chip, const DetectConfig &cfg);
-    ~DetectorBank();
+    ~DetectorBank() override;
 
     DetectorBank(const DetectorBank &) = delete;
     DetectorBank &operator=(const DetectorBank &) = delete;
@@ -242,10 +268,31 @@ class DetectorBank
     void restoreSections(state::ArchiveReader &ar,
                          state::RestoreContext &ctx);
 
+    /** @name Clocked */
+    ///@{
+    void tick(Time now) override;
+    const char *tickName() const override { return "detect"; }
+    ///@}
+
   private:
     Chip &chip_;
     DetectConfig cfg_;
     std::vector<std::unique_ptr<Detector>> detectors_;
+    Observation obs_;
+    /**
+     * Chip::throttleEpoch() behind obs_'s per-core arrays. Chip epochs
+     * count up from 0, so the initial value forces the first scan.
+     */
+    std::uint64_t throttleEpoch_ = ~std::uint64_t{0};
+    /** @name Package power memo: obs_.powerWatts at these inputs */
+    ///@{
+    double memoVolts_ = 0.0;
+    double memoGhz_ = 0.0;
+    std::uint64_t memoActivityEpoch_ = ~std::uint64_t{0};
+    ///@}
+
+    /** Refill obs_ from the chip at @p now. */
+    void readChip(Time now);
 };
 
 } // namespace detect

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chip/chip.hh"
 #include "state/archive.hh"
 #include "state/snapshot.hh"
 
@@ -11,22 +10,25 @@ namespace ich
 namespace detect
 {
 
-DutyCycleDetector::DutyCycleDetector(Chip &chip, const DutyParams &p)
-    : Detector(chip), params_(p),
-      throttledTicks_(chip.coreCount(), 0),
-      lastAsserts_(chip.coreCount(), 0)
+DutyCycleDetector::DutyCycleDetector(int cores, const DutyParams &p)
+    : params_(p), throttledTicks_(cores, 0), lastAsserts_(cores, 0)
 {
 }
 
 void
-DutyCycleDetector::observe(Time now)
+DutyCycleDetector::observe(const Observation &obs)
 {
-    for (int c = 0; c < chip_.coreCount(); ++c) {
-        const ThrottleUnit &tu = chip_.core(c).throttle();
-        std::uint64_t asserts = tu.assertCount();
-        if (tu.throttled() || asserts != lastAsserts_[c])
-            ++throttledTicks_[c];
-        lastAsserts_[c] = asserts;
+    if (obs.throttleChanged) {
+        for (std::size_t c = 0; c < throttledTicks_.size(); ++c) {
+            if (obs.throttled[c] || obs.asserts[c] != lastAsserts_[c])
+                ++throttledTicks_[c];
+            lastAsserts_[c] = obs.asserts[c];
+        }
+    } else if (obs.anyThrottled) {
+        // No assert since the last tick: only the level counts.
+        for (std::size_t c = 0; c < throttledTicks_.size(); ++c)
+            if (obs.throttled[c])
+                ++throttledTicks_[c];
     }
     if (++windowFill_ < params_.windowTicks)
         return;
@@ -37,7 +39,7 @@ DutyCycleDetector::observe(Time now)
     std::fill(throttledTicks_.begin(), throttledTicks_.end(), 0);
     windowFill_ = 0;
     notePeak(lastResidency_);
-    noteAlarmLevel(lastResidency_ >= params_.threshold, now);
+    noteAlarmLevel(lastResidency_ >= params_.threshold, obs.now);
 }
 
 void

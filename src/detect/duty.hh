@@ -30,7 +30,7 @@ namespace detect
 class DutyCycleDetector final : public Detector
 {
   public:
-    DutyCycleDetector(Chip &chip, const DutyParams &p);
+    DutyCycleDetector(int cores, const DutyParams &p);
 
     const char *name() const override { return "duty"; }
 
@@ -41,7 +41,7 @@ class DutyCycleDetector final : public Detector
     void restoreState(state::SectionReader &r) override;
 
   protected:
-    void observe(Time now) override;
+    void observe(const Observation &obs) override;
 
   private:
     DutyParams params_;

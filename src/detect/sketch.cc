@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "chip/chip.hh"
 #include "state/archive.hh"
 #include "state/snapshot.hh"
 
@@ -123,12 +122,11 @@ CountMinSketch::restoreState(state::SectionReader &r)
 
 // ------------------------------------------------------ SketchDetector
 
-SketchDetector::SketchDetector(Chip &chip, const SketchParams &p,
+SketchDetector::SketchDetector(int cores, const SketchParams &p,
                                Time tick_interval)
-    : Detector(chip), params_(p), tickInterval_(tick_interval),
+    : params_(p), tickInterval_(tick_interval),
       sketch_(p.depth, p.width, p.rowSampleProb, p.seed),
-      lastAsserts_(chip.coreCount(), 0),
-      lastActive_(chip.coreCount(), 0)
+      lastAsserts_(cores, 0), lastActive_(cores, 0)
 {
 }
 
@@ -169,24 +167,26 @@ SketchDetector::statistic() const
 }
 
 void
-SketchDetector::observe(Time now)
+SketchDetector::observe(const Observation &obs)
 {
-    for (int c = 0; c < chip_.coreCount(); ++c) {
-        std::uint64_t asserts = chip_.core(c).throttle().assertCount();
-        if (asserts != lastAsserts_[c]) {
-            if (lastActive_[c] != 0)
-                fold((static_cast<std::uint64_t>(c) << 8) |
-                     gapBucket(now, lastActive_[c]));
-            lastActive_[c] = now;
-            lastAsserts_[c] = asserts;
+    Time now = obs.now;
+    // Unchanged throttle state: every core's count equals lastAsserts_.
+    if (obs.throttleChanged) {
+        for (std::size_t c = 0; c < lastAsserts_.size(); ++c) {
+            if (obs.asserts[c] != lastAsserts_[c]) {
+                if (lastActive_[c] != 0)
+                    fold((static_cast<std::uint64_t>(c) << 8) |
+                         gapBucket(now, lastActive_[c]));
+                lastActive_[c] = now;
+                lastAsserts_[c] = obs.asserts[c];
+            }
         }
     }
-    std::uint64_t pstates = chip_.pmu().pstateTransitions();
-    if (pstates != lastPstates_) {
+    if (obs.pstateTransitions != lastPstates_) {
         if (lastPstateActive_ != 0)
             fold((0xF00ULL << 8) | gapBucket(now, lastPstateActive_));
         lastPstateActive_ = now;
-        lastPstates_ = pstates;
+        lastPstates_ = obs.pstateTransitions;
     }
     double s = statistic();
     notePeak(s);

@@ -80,7 +80,7 @@ class CountMinSketch
 class SketchDetector final : public Detector
 {
   public:
-    SketchDetector(Chip &chip, const SketchParams &p, Time tick_interval);
+    SketchDetector(int cores, const SketchParams &p, Time tick_interval);
 
     const char *name() const override { return "sketch"; }
     double statistic() const override;
@@ -93,7 +93,7 @@ class SketchDetector final : public Detector
     void restoreState(state::SectionReader &r) override;
 
   protected:
-    void observe(Time now) override;
+    void observe(const Observation &obs) override;
 
   private:
     SketchParams params_;

@@ -476,23 +476,17 @@ ColumnStoreReader::ColumnStoreReader(const std::string &path) : path_(path)
                 throw ArchiveError(
                     "colstore: point index beyond the grid in '" +
                     path + "'");
-            std::uint64_t fp = 1469598103934665603ull;
-            auto mix = [&fp](std::uint64_t v) {
-                for (int i = 0; i < 8; ++i) {
-                    fp ^= (v >> (8 * i)) & 0xffu;
-                    fp *= 1099511628211ull;
-                }
-            };
+            std::uint64_t fp = io::kFnv1aSeed;
             for (std::uint32_t t = 0; t < tpp; ++t) {
                 std::size_t r = base + t;
                 if (raw.pointIndex[r] != pidx || raw.trial[r] != t)
                     throw ArchiveError(
                         "colstore: point rows out of trial order in '" +
                         path + "'");
-                mix(raw.seed[r]);
+                fp = io::fnv1aU64(raw.seed[r], fp);
                 for (const auto &m : raw.metrics[r]) {
-                    mix(m.first);
-                    mix(m.second);
+                    fp = io::fnv1aU64(m.first, fp);
+                    fp = io::fnv1aU64(m.second, fp);
                 }
             }
             auto prev = point_fp.find(static_cast<std::size_t>(pidx));

@@ -14,21 +14,6 @@ namespace ich
 namespace exp
 {
 
-namespace
-{
-
-std::uint64_t
-fnv1a(const std::string &s, std::uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
-
 bool
 ResumeManifest::matches(const ResumeManifest &other) const
 {
@@ -40,17 +25,17 @@ ResumeManifest::matches(const ResumeManifest &other) const
 std::uint64_t
 gridFingerprint(const std::vector<ParamPoint> &points)
 {
-    std::uint64_t h = fnv1a("grid-v1");
+    std::uint64_t h = io::fnv1a("grid-v1");
     for (const ParamPoint &p : points) {
-        h = fnv1a(p.toString(), h);
+        h = io::fnv1a(p.toString(), h);
         for (const auto &e : p.entries()) {
-            h = fnv1a(e.value.label, h);
+            h = io::fnv1a(e.value.label.str(), h);
             char bits[32];
             std::snprintf(bits, sizeof bits, "%016" PRIx64,
                           io::f64Bits(e.value.value));
-            h = fnv1a(bits, h);
+            h = io::fnv1a(bits, h);
         }
-        h = fnv1a("|", h);
+        h = io::fnv1a("|", h);
     }
     return h;
 }
@@ -67,7 +52,7 @@ warmSnapshotPath(const std::string &dir, const std::string &scenario,
                  const std::string &key)
 {
     char hash[32];
-    std::snprintf(hash, sizeof hash, "%016" PRIx64, fnv1a(key));
+    std::snprintf(hash, sizeof hash, "%016" PRIx64, io::fnv1a(key));
     return (std::filesystem::path(dir) /
             (scenario + ".warm-" + hash + ".snap"))
         .string();

@@ -83,6 +83,8 @@ struct StreamStats {
     std::size_t resumedPoints = 0; ///< prefilled from a prior store
     int jobs = 1;
     double wallSeconds = 0.0;
+    /** Shard worker deaths answered with a respawn (0 in-process). */
+    std::size_t respawns = 0;
 };
 
 /**

@@ -10,6 +10,8 @@
 
 #include <csignal>
 
+#include "io/codec.hh"
+
 namespace ich
 {
 namespace fault
@@ -40,17 +42,6 @@ splitmix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
     return x ^ (x >> 31);
-}
-
-std::uint64_t
-fnv1a(const char *s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (; *s; ++s) {
-        h ^= static_cast<std::uint8_t>(*s);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 bool
@@ -268,8 +259,8 @@ decide(const char *site, const char *op, const char *path,
             gFired[i] = true;
         out.kind = r.kind;
         out.arg = r.arg;
-        out.draw = splitmix64(gPlan.seed ^ fnv1a(site) ^
-                              (fnv1a(op) << 1) ^ (hit * 0x9E37ull));
+        out.draw = splitmix64(gPlan.seed ^ io::fnv1a(site) ^
+                              (io::fnv1a(op) << 1) ^ (hit * 0x9E37ull));
         return true;
     }
     return false;

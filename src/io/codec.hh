@@ -22,9 +22,11 @@
 #ifndef ICH_IO_CODEC_HH
 #define ICH_IO_CODEC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ich
@@ -49,6 +51,44 @@ f64FromBits(std::uint64_t bits)
     double v;
     std::memcpy(&v, &bits, sizeof v);
     return v;
+}
+
+/**
+ * Start state of fnv1a(). It is 1469598103934665603, one digit short of
+ * the published FNV-1a 64 basis 14695981039346656037. Warm-snapshot
+ * file names and resume-store grid fingerprints on disk are built on
+ * it, so it stays.
+ */
+constexpr std::uint64_t kFnv1aSeed = 1469598103934665603ull;
+
+/** Fold @p n bytes at @p p into the FNV-1a 64 state @p h. */
+inline std::uint64_t
+fnv1a(const void *p, std::size_t n, std::uint64_t h)
+{
+    const auto *b = static_cast<const std::uint8_t *>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= b[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Fold the bytes of @p s (no terminator) into @p h. */
+inline std::uint64_t
+fnv1a(std::string_view s, std::uint64_t h = kFnv1aSeed)
+{
+    return fnv1a(s.data(), s.size(), h);
+}
+
+/** Fold @p v as its 8 little-endian bytes into @p h. */
+inline std::uint64_t
+fnv1aU64(std::uint64_t v, std::uint64_t h)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 /** Appends explicit-width little-endian values to a byte vector. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "state/snapshot.hh"
 
@@ -21,6 +22,12 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
       powerModel_(gbModel_, cfg.leakagePerCoreAmps),
       governor_(cfg.governor)
 {
+    const std::vector<double> &bins = cfg_.pstate.binsGhz;
+    if (bins.empty())
+        throw std::invalid_argument("CentralPmu: no frequency bins");
+    if (!std::is_sorted(bins.begin(), bins.end()))
+        throw std::invalid_argument(
+            "CentralPmu: frequency bins must be ascending");
     coreState_.assign(hooks_.numCores(), CoreState{});
     governorEval_.pmu = this;
     if (cfg_.governor.evalInterval > 0)

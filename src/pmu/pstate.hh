@@ -13,6 +13,7 @@
 #define ICH_PMU_PSTATE_HH
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,7 +38,17 @@ struct PstateConfig {
 /** Map a guardband level (0..4) to a turbo license (0..2). */
 int licenseForGbLevel(int gb_level);
 
-/** Snap @p ghz to the nearest bin at or below it (lowest bin if none). */
+/**
+ * Index of the highest bin at or below @p ghz, allowing 1e-9 GHz of
+ * float noise (0 when every bin is above it, or @p ghz is NaN). A
+ * binary search: @p bins_ghz must be non-empty and ascending, which
+ * CentralPmu checks for its table.
+ */
+std::size_t binIndexAtOrBelow(double ghz,
+                              const std::vector<double> &bins_ghz);
+
+/** Snap @p ghz to the nearest bin at or below it (lowest bin if none);
+ *  bins_ghz[binIndexAtOrBelow(ghz, bins_ghz)]. */
 double snapDownToBin(double ghz, const std::vector<double> &bins_ghz);
 
 } // namespace ich

@@ -20,6 +20,7 @@
 
 #include "exp/colstore.hh"
 #include "exp/resume.hh"
+#include "io/codec.hh"
 #include "io/fileops.hh"
 #include "shard/hash_ring.hh"
 #include "shard/protocol.hh"
@@ -89,26 +90,15 @@ setFdFlags(int fd)
 std::uint64_t
 pointHash(const std::vector<exp::TrialRecord> &records)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix_byte = [&h](std::uint8_t b) {
-        h ^= b;
-        h *= 1099511628211ull;
-    };
-    auto mix64 = [&](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
+    std::uint64_t h = io::kFnv1aSeed;
     for (const exp::TrialRecord &rec : records) {
-        mix64(static_cast<std::uint64_t>(rec.trial));
-        mix64(rec.seed);
-        mix64(rec.metrics.size());
+        h = io::fnv1aU64(static_cast<std::uint64_t>(rec.trial), h);
+        h = io::fnv1aU64(rec.seed, h);
+        h = io::fnv1aU64(rec.metrics.size(), h);
         for (const auto &kv : rec.metrics) {
-            for (unsigned char c : kv.first)
-                mix_byte(c);
-            mix_byte(0); // name terminator: "ab"+"c" != "a"+"bc"
-            std::uint64_t bits;
-            std::memcpy(&bits, &kv.second, sizeof bits);
-            mix64(bits);
+            // With the name's terminator: "ab"+"c" != "a"+"bc".
+            h = io::fnv1a(kv.first.c_str(), kv.first.size() + 1, h);
+            h = io::fnv1aU64(io::f64Bits(kv.second), h);
         }
     }
     return h;
@@ -127,6 +117,7 @@ struct Run {
     std::size_t completedPoints = 0;
     std::vector<std::uint64_t> recHash; ///< pointHash per completed point
     std::vector<int> attempts;       ///< deaths while holding the unit
+    std::size_t respawns = 0;        ///< deaths answered with a respawn
     std::deque<std::size_t> orphans; ///< reassigned units awaiting a home
 
     exp::ResumeManifest header; ///< sweep identity (points map unused)
@@ -591,6 +582,7 @@ struct Run {
                          idx, s.spawns);
         } else {
             // Exponential backoff between respawns of the same slot.
+            ++respawns;
             int delay_ms = std::min(50 << (s.spawns - 1), 1000);
             s.respawnAt =
                 Clock::now() + std::chrono::milliseconds(delay_ms);
@@ -1028,6 +1020,7 @@ ShardCoordinator::runStreaming(const exp::ScenarioSpec &spec,
 
     stats.wallSeconds =
         std::chrono::duration<double>(Clock::now() - t0).count();
+    stats.respawns = run.respawns;
 
     sink.endSweep();
     if (run.checkpointOk) {

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "io/codec.hh"
+
 namespace ich
 {
 namespace shard
@@ -9,16 +11,6 @@ namespace shard
 
 namespace
 {
-
-std::uint64_t
-fnv1a(const std::string &s, std::uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** splitmix64: decorrelates the two per-backend hash streams. */
 std::uint64_t
@@ -65,7 +57,8 @@ HashRing::build()
     for (std::size_t b = 0; b < enabled_.size(); ++b) {
         if (!enabled_[b])
             continue;
-        std::uint64_t h = fnv1a("shard-worker-" + std::to_string(b));
+        std::uint64_t h =
+            io::fnv1a("shard-worker-" + std::to_string(b));
         perms.push_back({b, static_cast<std::size_t>(h % m),
                          static_cast<std::size_t>(mix(h) % (m - 1)) + 1,
                          0});
@@ -92,7 +85,8 @@ HashRing::build()
 std::size_t
 HashRing::lookup(const std::string &key) const
 {
-    return table_[static_cast<std::size_t>(fnv1a(key) % table_.size())];
+    return table_[static_cast<std::size_t>(io::fnv1a(key) %
+                                           table_.size())];
 }
 
 void

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "exp/colstore.hh"
+#include "exp/resume.hh"
+#include "exp/scenario.hh"
 #include "io/codec.hh"
 #include "measure/trace.hh"
 #include "shard/protocol.hh"
@@ -262,6 +264,28 @@ TEST(FormatPin, ColumnStore)
         "0000000000000302000000000000000000f83f000000000000008001"
         "000000020100000003000000000000009d85df6a49434b4603000000"
         "140000000200000000000000020000000000000002000000853b1879");
+}
+
+TEST(FormatPin, ResumeHashes)
+{
+    // Warm-snapshot file names and the grid fingerprint kept in resume
+    // stores are FNV-1a 64 values written to disk; a hash change would
+    // orphan every stored warm snapshot and resume store.
+    EXPECT_EQ(exp::warmSnapshotPath("dir", "scn", ""),
+              "dir/scn.warm-14650fb0739d0383.snap");
+    EXPECT_EQ(exp::warmSnapshotPath("dir", "scn", "a"),
+              "dir/scn.warm-44bd8ad473cd9906.snap");
+    EXPECT_EQ(exp::warmSnapshotPath("dir", "scn", "warm|seed=7|burst=3"),
+              "dir/scn.warm-3f7f2702ae3b0825.snap");
+    EXPECT_EQ(exp::warmSnapshotPath("dir", "scn", "fig12-throughput/point-0"),
+              "dir/scn.warm-9806b339afd84edd.snap");
+
+    exp::ScenarioSpec spec;
+    spec.name = "pin";
+    spec.axes = {exp::axis("x", {1.0, 2.5}),
+                 exp::axisLabeledValues("mode", {{"lo", 0.0}, {"hi", 1.0}})};
+    EXPECT_EQ(exp::gridFingerprint(exp::expandPoints(spec)),
+              0xc71d1223e59221bdULL);
 }
 
 TEST(FormatPin, ColumnarTrace)

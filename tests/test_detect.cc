@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -169,6 +171,63 @@ TEST(DetectTenant, TrialsAreBitwiseDeterministic)
         detect::TenantResult b =
             detect::runTenantTrial(smallTenantConfig(23, attacker));
         EXPECT_EQ(a.metrics, b.metrics);
+    }
+}
+
+/** IEEE-754 bit pattern of @p v, for exact pins. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+TEST(DetectTenant, DetectorMetricsArePinnedBitExactly)
+{
+    // Every det_* metric of one attacker and one honest trial at a fixed
+    // seed, as exact bits. Low CUSUM drift and duty threshold make every
+    // detector's score, alarm count and time-to-detect non-trivial on
+    // both arms, so a change to how the bank reads the chip that moves
+    // any double shows up here.
+    using Pins = std::map<std::string, std::uint64_t>;
+    const Pins attacker = {
+        {"det_cusum_alarms", 0x403f000000000000ULL},  // 31
+        {"det_cusum_score", 0x402e08e9e8e70854ULL},   // 15.0174...
+        {"det_cusum_ttd_us", 0x4097200000000000ULL},  // 1480
+        {"det_duty_alarms", 0x3ff0000000000000ULL},   // 1
+        {"det_duty_score", 0x3fa8000000000000ULL},    // 0.046875
+        {"det_duty_ttd_us", 0x40b9000000000000ULL},   // 6400
+        {"det_samples", 0x4080b80000000000ULL},       // 535
+        {"det_sketch_alarms", 0x3ff0000000000000ULL}, // 1
+        {"det_sketch_score", 0x3fccb08d3dcb08d4ULL},  // 0.2241...
+        {"det_sketch_ttd_us", 0x40bbf80000000000ULL}, // 7160
+    };
+    const Pins honest = {
+        {"det_cusum_alarms", 0x4028000000000000ULL},  // 12
+        {"det_cusum_score", 0x4020f826327168ccULL},   // 8.4846...
+        {"det_cusum_ttd_us", 0x40a3380000000000ULL},  // 2460
+        {"det_duty_alarms", 0x4000000000000000ULL},   // 2
+        {"det_duty_score", 0x3fb0000000000000ULL},    // 0.0625
+        {"det_duty_ttd_us", 0x40b9000000000000ULL},   // 6400
+        {"det_samples", 0x4083f80000000000ULL},       // 639
+        {"det_sketch_alarms", 0x0000000000000000ULL}, // 0
+        {"det_sketch_score", 0x3fbe1e1e1e1e1e1eULL},  // 0.1176...
+    };
+    for (bool present : {true, false}) {
+        detect::TenantConfig cfg;
+        cfg.seed = 7;
+        cfg.attackerPresent = present;
+        cfg.payloadBits = 32;
+        cfg.detect.cusum.driftWatts = 0.05;
+        cfg.detect.duty.threshold = 0.04;
+        detect::TenantResult r = detect::runTenantTrial(cfg);
+        Pins got;
+        for (const auto &[name, value] : r.metrics)
+            if (name.rfind("det_", 0) == 0)
+                got[name] = bitsOf(value);
+        EXPECT_EQ(got, present ? attacker : honest)
+            << (present ? "attacker" : "honest") << " trial";
     }
 }
 
