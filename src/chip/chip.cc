@@ -112,7 +112,7 @@ Chip::scanCoreActivity(CoreId c, CoreActivity &a) const
     const Core &core = *cores_[c];
     a.active = core.anyThreadActive();
     a.cdynNf = core.cdynActiveNf();
-    a.gbLevel = 0; // PMU fills granted/pending levels
+    a.gbLevel = 0; // the PMU prices its own levels beside it
     a.activeGbLevel = core.activeGbLevelNow();
 }
 

@@ -188,14 +188,6 @@ EventQueue::peekNext(Time &when, EventId &id)
     return true;
 }
 
-void
-EventQueue::creditInlineEvent(Time when)
-{
-    assert(when >= now_);
-    now_ = when;
-    ++executed_;
-}
-
 bool
 EventQueue::runOne()
 {

@@ -25,6 +25,7 @@
 #ifndef ICH_COMMON_EVENT_QUEUE_HH
 #define ICH_COMMON_EVENT_QUEUE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,7 +174,25 @@ class EventQueue
      * keeps now()/executedEvents() — and therefore snapshot bytes —
      * identical to the popped dispatch path.
      */
-    void creditInlineEvent(Time when);
+    void
+    creditInlineEvent(Time when)
+    {
+        assert(when >= now_);
+        now_ = when;
+        ++executed_;
+    }
+
+    /**
+     * True when the live pending event @p id holds the head of the
+     * queue: the next peekNext() reports it and the next runOne() runs
+     * it. The inline pump uses this after reschedule() to fire a group
+     * that is still the head again without peeking.
+     */
+    bool
+    isHead(EventId id) const
+    {
+        return !heap_.empty() && heap_.front().slot == slotIndex(id);
+    }
 
     /**
      * Run the single next event, if any.

@@ -1,5 +1,6 @@
 #include "common/ticker.hh"
 
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -111,10 +112,9 @@ Ticker::armGroup(Group &g)
     pumpIndexDirty_ = true;
 }
 
-void
-Ticker::fireGroup(Group &g)
+inline bool
+Ticker::runMembers(Group &g)
 {
-    g.event = EventQueue::kInvalidEvent;
     g.dispatching = true;
     Time now = eq_.now();
     // Fixed bound: members added during the pass tick next period.
@@ -135,7 +135,14 @@ Ticker::fireGroup(Group &g)
                 g.members[w++] = g.members[i];
         g.members.resize(w);
     }
-    if (g.members.empty()) {
+    return !g.members.empty();
+}
+
+void
+Ticker::fireGroup(Group &g)
+{
+    g.event = EventQueue::kInvalidEvent;
+    if (!runMembers(g)) {
         pruneGroup(&g); // frees g — must be the last use
         return;
     }
@@ -143,8 +150,8 @@ Ticker::fireGroup(Group &g)
     armGroup(g);
 }
 
-void
-Ticker::fireGroupInline(Group &g)
+std::uint64_t
+Ticker::fireGroupInline(Group &g, Time until)
 {
     // Mirror of fireGroup() for the fast-forward pump: the group's
     // event is still in the heap (never popped), so g.event stays
@@ -152,41 +159,32 @@ Ticker::fireGroupInline(Group &g)
     // group as armed and skips arming — the same outcome fireGroup()'s
     // dispatching guard produces — and the new member still first
     // ticks on the next period via its minDue.
-    g.dispatching = true;
-    Time now = eq_.now();
-    // Fixed bound: members added during the pass tick next period.
-    const std::size_t count = g.members.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const Member &m = g.members[i];
-        if (m.clocked != nullptr && now >= m.minDue) {
-            ++ticks_;
-            m.clocked->tick(now);
+    for (std::uint64_t fires = 1;; ++fires) {
+        // Advance the clock and credit the fire before dispatch,
+        // matching runOne()'s now_/executed_ updates.
+        eq_.creditInlineEvent(g.nextDue);
+        if (!runMembers(g)) {
+            // The popped path had already consumed the event; here it
+            // is still pending and must be cancelled explicitly.
+            eq_.deschedule(g.event);
+            pruneGroup(&g); // frees g — must be the last use
+            return fires;
         }
+        g.nextDue += g.rate.period;
+        // Retarget the pending event in place. reschedule() assigns a
+        // fresh insertion sequence *after* member dispatch — exactly
+        // the sequence armGroup()'s schedule() would have burned — so
+        // the (time, priority, seq) ordering of everything members
+        // scheduled is identical to the stepped path.
+        if (!eq_.reschedule(g.event, g.nextDue)) {
+            armGroup(g);
+            return fires;
+        }
+        // Still the head and inside the span: fastForward() would pick
+        // this group next, so fire it again without the peek.
+        if (g.nextDue > until || !eq_.isHead(g.event))
+            return fires;
     }
-    g.dispatching = false;
-    if (g.hasHoles) {
-        g.hasHoles = false;
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < g.members.size(); ++i)
-            if (g.members[i].clocked != nullptr)
-                g.members[w++] = g.members[i];
-        g.members.resize(w);
-    }
-    if (g.members.empty()) {
-        // The popped path had already consumed the event; here it is
-        // still pending and must be cancelled explicitly.
-        eq_.deschedule(g.event);
-        pruneGroup(&g); // frees g — must be the last use
-        return;
-    }
-    g.nextDue += g.rate.period;
-    // Retarget the pending event in place. reschedule() assigns a
-    // fresh insertion sequence *after* member dispatch — exactly the
-    // sequence armGroup()'s schedule() would have burned — so the
-    // (time, priority, seq) ordering of everything members scheduled
-    // is identical to the stepped path.
-    if (!eq_.reschedule(g.event, g.nextDue))
-        armGroup(g);
 }
 
 std::uint64_t
@@ -222,11 +220,8 @@ Ticker::fastForward(Time until)
         // the head and the skip is suppressed.
         if (g == nullptr || g->event != head)
             break;
-        // Advance the clock and credit the fire before dispatch,
-        // matching runOne()'s now_/executed_ updates.
-        eq_.creditInlineEvent(when);
-        fireGroupInline(*g);
-        ++fires;
+        assert(when == g->nextDue);
+        fires += fireGroupInline(*g, until);
     }
     ffFires_ += fires;
     return fires;

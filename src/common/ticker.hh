@@ -201,8 +201,14 @@ class Ticker
 
     Group &groupFor(TickRate rate);
     void armGroup(Group &g);
+    /** Tick @p g's due members and drop removed ones; false when the
+     *  group is left empty. */
+    bool runMembers(Group &g);
     void fireGroup(Group &g);
-    void fireGroupInline(Group &g);
+    /** Fire @p g, the queue head, in place, and again while its next
+     *  fire is still the head and due at or before @p until.
+     *  @return fires. */
+    std::uint64_t fireGroupInline(Group &g, Time until);
     void pruneGroup(Group *g);
 
     /** Earliest grid point strictly after @p now. */

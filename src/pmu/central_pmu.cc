@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "state/snapshot.hh"
@@ -13,13 +14,33 @@ namespace ich
 namespace
 {
 constexpr double kGhzEps = 1e-6;
+
+#ifndef NDEBUG
+// The row-priced paths below must return the reference path's doubles
+// bit for bit; builds without NDEBUG recompute and compare.
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The reference path's input: @p act with core c at level_of(c). */
+template <class LevelOf>
+std::vector<CoreActivity>
+withLevels(std::vector<CoreActivity> act, LevelOf level_of)
+{
+    for (std::size_t c = 0; c < act.size(); ++c)
+        act[c].gbLevel = level_of(c);
+    return act;
+}
+#endif
 } // namespace
 
 CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
                        const PmuConfig &cfg, PmuHooks &hooks)
     : eq_(eq), rng_(rng), ticker_(ticker), cfg_(cfg), hooks_(hooks),
       gbModel_(LoadLine(cfg.rllOhm), cfg.vf),
-      powerModel_(gbModel_, cfg.leakagePerCoreAmps),
+      powerModel_(gbModel_, cfg.leakagePerCoreAmps, cfg.pstate.binsGhz),
       governor_(cfg.governor)
 {
     const std::vector<double> &bins = cfg_.pstate.binsGhz;
@@ -51,6 +72,8 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
     double limit = powerModel_.maxFreqGhz(idle, cfg_.limits,
                                           cfg_.pstate.binsGhz);
     freqGhz_ = std::min(desired, limit);
+    freqBin_ = binIndexAtOrBelow(freqGhz_, bins);
+    assert(bins[freqBin_] == freqGhz_);
 
     // One VR/SVID per domain, initialized at the target for the initial
     // frequency (in secure mode this already includes the worst-case
@@ -72,13 +95,22 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
         [this] {
             // Highest bin whose projected power at the instantaneous
             // activity fits the budget.
-            const auto &act = activityWithLevels();
+            const auto &act = hooks_.coreActivity();
+            double watts = cfg_.powerLimit.limitWatts;
+            double ghz = powerModel_.binGhz(
+                powerModel_.maxBinWithinPower(act, levelOf(), watts));
+#ifndef NDEBUG
+            auto levelled = withLevels(act, levelOf());
             const auto &bins = cfg_.pstate.binsGhz;
+            double ref = bins.front();
             for (auto it = bins.rbegin(); it != bins.rend(); ++it)
-                if (powerModel_.powerWatts(*it, act) <=
-                    cfg_.powerLimit.limitWatts)
-                    return *it;
-            return bins.front();
+                if (powerModel_.powerWatts(*it, levelled) <= watts) {
+                    ref = *it;
+                    break;
+                }
+            assert(sameBits(ghz, ref));
+#endif
+            return ghz;
         });
 }
 
@@ -106,23 +138,36 @@ CentralPmu::maxLevelAllCores() const
 double
 CentralPmu::computeDomainTarget(int domain) const
 {
-    double v = gbModel_.baseVolts(freqGhz_);
-    for (CoreId c = 0; c < hooks_.numCores(); ++c) {
-        if (domainOf(c) != domain)
-            continue;
-        v += gbModel_.gbVolts(effectiveLevel(coreState_[c]), freqGhz_);
-    }
+    // Base voltage plus the domain's guardbands, summed in core order
+    // from the current bin's row.
+    int cores = hooks_.numCores();
+    double v = powerModel_.binBaseVolts(freqBin_);
+    for (CoreId c = 0; c < cores; ++c)
+        if (domainOf(c) == domain)
+            v += powerModel_.binGbVolts(effectiveLevel(coreState_[c]),
+                                        freqBin_);
+#ifndef NDEBUG
+    double ref = gbModel_.baseVolts(freqGhz_);
+    for (CoreId c = 0; c < cores; ++c)
+        if (domainOf(c) == domain)
+            ref += gbModel_.gbVolts(effectiveLevel(coreState_[c]),
+                                    freqGhz_);
+    assert(sameBits(v, ref));
+#endif
     return v;
 }
 
-const std::vector<CoreActivity> &
-CentralPmu::activityWithLevels() const
+std::size_t
+CentralPmu::limitBin() const
 {
-    levelled_ = hooks_.coreActivity();
-    for (CoreId c = 0;
-         c < std::min<CoreId>(levelled_.size(), coreState_.size()); ++c)
-        levelled_[c].gbLevel = effectiveLevel(coreState_[c]);
-    return levelled_;
+    const auto &act = hooks_.coreActivity();
+    assert(act.size() == coreState_.size());
+    std::size_t bin = powerModel_.maxBin(act, levelOf(), cfg_.limits);
+    assert(sameBits(powerModel_.binGhz(bin),
+                    powerModel_.maxFreqGhz(withLevels(act, levelOf()),
+                                           cfg_.limits,
+                                           cfg_.pstate.binsGhz)));
+    return bin;
 }
 
 double
@@ -140,7 +185,9 @@ CentralPmu::iccAmps() const
 double
 CentralPmu::powerWatts() const
 {
-    return volts() * iccAmps();
+    // One read of the (possibly ramping) rail for both factors.
+    double v = volts();
+    return v * powerModel_.iccAmps(freqGhz_, v, hooks_.coreActivity());
 }
 
 int
@@ -288,19 +335,19 @@ CentralPmu::reevaluateFreq()
 {
     if (pstateInFlight_)
         return;
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz,
-                                      cfg_.pstate.binsGhz.back());
+    const std::vector<double> &bins = cfg_.pstate.binsGhz;
+    double gov = governor_.requestGhz(cfg_.pstate.minGhz, bins.back());
     double cap = powerLimiter_->capGhz();
     int license = licenseForGbLevel(maxLevelAllCores());
     double license_cap = cfg_.pstate.licenseMaxGhz[license];
 
-    double limit = powerModel_.maxFreqGhz(activityWithLevels(),
-                                          cfg_.limits,
-                                          cfg_.pstate.binsGhz);
-    double nolicense = std::min(
-        snapDownToBin(std::min(gov, cap), cfg_.pstate.binsGhz), limit);
-    double desired = std::min(
-        nolicense, snapDownToBin(license_cap, cfg_.pstate.binsGhz));
+    // Bins ascend, so the lower index is the lower frequency.
+    std::size_t nolicense_bin =
+        std::min(binIndexAtOrBelow(std::min(gov, cap), bins), limitBin());
+    std::size_t desired_bin =
+        std::min(nolicense_bin, binIndexAtOrBelow(license_cap, bins));
+    double nolicense = bins[nolicense_bin];
+    double desired = bins[desired_bin];
 
     if (desired < freqGhz_ - kGhzEps) {
         if (upclockEvent_ != EventQueue::kInvalidEvent) {
@@ -310,14 +357,14 @@ CentralPmu::reevaluateFreq()
         // Remember whether the license was the (strictly) binding
         // constraint: its relaxation is slow (milliseconds).
         licenseCausedDownclock_ = desired < nolicense - kGhzEps;
-        startPstateTransition(desired);
+        startPstateTransition(desired_bin);
     } else if (desired > freqGhz_ + kGhzEps) {
         scheduleUpclock();
     }
 }
 
 void
-CentralPmu::startPstateTransition(double target_ghz)
+CentralPmu::startPstateTransition(std::size_t target_bin)
 {
     assert(!pstateInFlight_);
     pstateInFlight_ = true;
@@ -325,10 +372,11 @@ CentralPmu::startPstateTransition(double target_ghz)
     ++pstateCount_;
     for (CoreId c = 0; c < hooks_.numCores(); ++c)
         hooks_.assertCoreThrottle(c, ThrottleReason::kPstate, 0);
-    auto cb = [this, target_ghz] {
+    auto cb = [this, target_bin] {
         accrueEnergy();
         hooks_.beforeFreqChange();
-        freqGhz_ = target_ghz;
+        freqGhz_ = cfg_.pstate.binsGhz[target_bin];
+        freqBin_ = target_bin;
         for (CoreId c = 0; c < hooks_.numCores(); ++c)
             hooks_.deassertCoreThrottle(c, ThrottleReason::kPstate);
         pstateInFlight_ = false;
@@ -364,20 +412,17 @@ CentralPmu::upclockFired()
     if (pstateInFlight_)
         return;
     // Recompute; conditions may have changed while waiting.
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz,
-                                      cfg_.pstate.binsGhz.back());
+    const std::vector<double> &bins = cfg_.pstate.binsGhz;
+    double gov = governor_.requestGhz(cfg_.pstate.minGhz, bins.back());
     double cap = powerLimiter_->capGhz();
     int license = licenseForGbLevel(maxLevelAllCores());
     double desired = std::min({gov, cap,
                                cfg_.pstate.licenseMaxGhz[license]});
-    desired = snapDownToBin(desired, cfg_.pstate.binsGhz);
-    desired = std::min(desired,
-                       powerModel_.maxFreqGhz(activityWithLevels(),
-                                              cfg_.limits,
-                                              cfg_.pstate.binsGhz));
-    if (desired > freqGhz_ + kGhzEps) {
+    std::size_t desired_bin =
+        std::min(binIndexAtOrBelow(desired, bins), limitBin());
+    if (bins[desired_bin] > freqGhz_ + kGhzEps) {
         licenseCausedDownclock_ = false;
-        startPstateTransition(desired);
+        startPstateTransition(desired_bin);
     }
 }
 
@@ -420,6 +465,12 @@ CentralPmu::restoreState(state::SectionReader &r,
                          state::RestoreContext &ctx)
 {
     freqGhz_ = r.getF64();
+    // The archive carries its own config, so its frequency is one of
+    // these bins exactly; anything else is a corrupt archive.
+    freqBin_ = binIndexAtOrBelow(freqGhz_, cfg_.pstate.binsGhz);
+    if (cfg_.pstate.binsGhz[freqBin_] != freqGhz_)
+        throw state::ArchiveError(
+            "CentralPmu: restored frequency is not a P-state bin");
     pstateInFlight_ = false;
     licenseCausedDownclock_ = r.getBool();
     pstateCount_ = r.getU64();

@@ -21,6 +21,7 @@
 #ifndef ICH_PMU_CENTRAL_PMU_HH
 #define ICH_PMU_CENTRAL_PMU_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,8 +57,8 @@ class PmuHooks
     virtual void deassertCoreThrottle(CoreId core,
                                       ThrottleReason reason) = 0;
     /**
-     * Per-core instantaneous activity (gbLevel left 0; the PMU fills
-     * granted/pending levels into its own copy). The reference stays
+     * Per-core instantaneous activity (gbLevel left 0; the PMU prices
+     * its own granted/pending levels beside it). The reference stays
      * valid for the hooks' lifetime; its contents change only when
      * thread activity does.
      */
@@ -218,10 +219,10 @@ class CentralPmu
     std::vector<std::unique_ptr<Svid>> svids_;
     std::vector<CoreState> coreState_;
     std::unique_ptr<PowerLimiter> powerLimiter_;
-    /** activityWithLevels() storage. */
-    mutable std::vector<CoreActivity> levelled_;
 
     double freqGhz_;
+    /** Bin index of freqGhz_, set together with it. */
+    std::size_t freqBin_ = 0;
     bool pstateInFlight_ = false;
     /** Completion deadline of the in-flight P-state transition
      *  (diagnostic; meaningful only while pstateInFlight_). */
@@ -240,18 +241,25 @@ class CentralPmu
 
     int domainOf(CoreId core) const { return cfg_.perCoreVr ? core : 0; }
     int effectiveLevel(const CoreState &cs) const;
+    /** Core index -> effective level, for the power model's searches. */
+    auto
+    levelOf() const
+    {
+        return [this](std::size_t c) {
+            return effectiveLevel(coreState_[c]);
+        };
+    }
     int maxLevelAllCores() const;
     double computeDomainTarget(int domain) const;
-    /** hooks_.coreActivity() with granted/pending levels filled in,
-     *  copied into levelled_ (no allocation after the first call);
-     *  the reference is valid until the next call. */
-    const std::vector<CoreActivity> &activityWithLevels() const;
+    /** Bin index of the electrical (Vccmax/Iccmax) limit at the present
+     *  activity and levels. */
+    std::size_t limitBin() const;
     void submitUpTransition(CoreId core, int lvl, int domain);
     void releaseDomainThrottles(int domain);
     void scheduleDecay(CoreId core);
     void decayCheck(CoreId core);
     void reevaluateFreq();
-    void startPstateTransition(double target_ghz);
+    void startPstateTransition(std::size_t target_bin);
     void scheduleUpclock();
     void upclockFired();
     void accrueEnergy();

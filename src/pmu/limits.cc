@@ -1,14 +1,26 @@
 #include "pmu/limits.hh"
 
 #include <stdexcept>
+#include <utility>
 
 namespace ich
 {
 
 ChipPowerModel::ChipPowerModel(const GuardbandModel &gb,
-                               double leakage_per_core_amps)
-    : gb_(gb), leakagePerCoreAmps_(leakage_per_core_amps)
+                               double leakage_per_core_amps,
+                               std::vector<double> bins_ghz)
+    : gb_(gb), leakagePerCoreAmps_(leakage_per_core_amps),
+      binsGhz_(std::move(bins_ghz)),
+      stride_(1 + static_cast<std::size_t>(gb.numLevels()))
 {
+    if (binsGhz_.empty())
+        throw std::invalid_argument("ChipPowerModel: no frequency bins");
+    rows_.reserve(binsGhz_.size() * stride_);
+    for (double f : binsGhz_) {
+        rows_.push_back(gb_.baseVolts(f));
+        for (int level = 0; level < gb_.numLevels(); ++level)
+            rows_.push_back(gb_.gbVolts(level, f));
+    }
 }
 
 double

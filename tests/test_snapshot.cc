@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "chip/presets.hh"
@@ -149,6 +153,80 @@ TEST(Snapshot, PinnedFrequencyPresetRestoresByteIdentically)
     cfg.pmu.governor.policy = GovernorPolicy::kUserspace;
     cfg.pmu.governor.userspaceGhz = 1.4;
     expectByteIdenticalRestore(cfg, 7);
+}
+
+TEST(Snapshot, RestoredFrequencyPricesTheRailFromItsOwnBin)
+{
+    // Rail targets are priced from the current P-state bin's row, so a
+    // restored frequency must bring its bin along. The original moves
+    // off the config's starting frequency before the snapshot; after
+    // restore, a PHI's up-transition target must match the original's
+    // bit for bit (a rail priced at the starting bin would not).
+    ChipConfig cfg = presets::coffeeLake();
+    cfg.pmu.vr.commandJitter = 0;
+    Simulation original(cfg, 3);
+    double start_ghz = original.chip().freqGhz();
+    original.chip().pmu().writeGovernor(GovernorPolicy::kUserspace, 2.0);
+    original.runFor(fromMilliseconds(5));
+    state::quiesce(original);
+    ASSERT_DOUBLE_EQ(original.chip().freqGhz(), 2.0);
+    ASSERT_NE(start_ghz, 2.0);
+    auto restored = state::restore(state::snapshot(original));
+    ASSERT_EQ(restored->chip().freqGhz(), original.chip().freqGhz());
+
+    for (Simulation *sim : {&original, restored.get()}) {
+        Program p;
+        p.loop(InstClass::k256Heavy, 200000, 100);
+        sim->chip().core(0).thread(0).setProgram(std::move(p));
+        sim->chip().core(0).thread(0).start();
+        sim->runFor(fromMicroseconds(100));
+    }
+    ASSERT_EQ(original.chip().pmu().grantedLevel(0), 3);
+    EXPECT_EQ(restored->chip().pmu().grantedLevel(0), 3);
+    EXPECT_DOUBLE_EQ(restored->chip().freqGhz(), 2.0);
+    double a = original.chip().vccVolts();
+    double b = restored->chip().vccVolts();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+}
+
+TEST(Snapshot, OffBinRestoredFrequencyIsRejected)
+{
+    // The archive carries its own bins, so a frequency that is not
+    // exactly one of them means a corrupt archive. Nudge the PMU
+    // section's first field (the frequency) off its bin and re-seal
+    // the CRC, so only the PMU's own check can catch it.
+    Simulation sim(presets::coffeeLake(), 3);
+    state::quiesce(sim);
+    state::Buffer snap = state::snapshot(sim);
+    const std::uint8_t name[] = {3, 0, 0, 0, 'p', 'm', 'u'};
+    auto it = std::search(snap.begin(), snap.end(), std::begin(name),
+                          std::end(name));
+    ASSERT_NE(it, snap.end());
+    // Skip the section name and its u32 body length; then the f64 tag.
+    std::size_t at = static_cast<std::size_t>(it - snap.begin()) +
+                     sizeof name + 4;
+    ASSERT_EQ(snap[at], 6); // kTagF64
+    double ghz = sim.chip().freqGhz();
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i)
+        bits |= std::uint64_t{snap[at + 1 + i]} << (8 * i);
+    ASSERT_EQ(std::memcmp(&bits, &ghz, sizeof bits), 0);
+    double off = std::nextafter(ghz, 10.0);
+    std::memcpy(&bits, &off, sizeof bits);
+    for (int i = 0; i < 8; ++i)
+        snap[at + 1 + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    // Header: u32 magic, u32 version, u64 payload length, u32 crc.
+    std::uint32_t crc = state::crc32(snap.data() + 20, snap.size() - 20);
+    for (int i = 0; i < 4; ++i)
+        snap[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    try {
+        state::restore(snap);
+        FAIL() << "restored an off-bin frequency";
+    } catch (const state::ArchiveError &e) {
+        EXPECT_NE(std::string(e.what()).find("not a P-state bin"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Snapshot, SnapshotOfRestoredSimulationAlsoRestores)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,80 @@ TEST(Ticker, ZeroPeriodRejected)
     Recorder r;
     EXPECT_THROW(ticker.add(r, TickRate{0, 0, 0}),
                  std::invalid_argument);
+}
+
+/**
+ * Every third tick, schedules one-shots at the group's next fire time
+ * (priorities -1, 0 and +1 in turn, so each tie-break rule is hit)
+ * and halfway there; each one-shot journals itself when it runs.
+ */
+struct TieScheduler final : Clocked {
+    EventQueue *eq = nullptr;
+    Time period = 0;
+    std::vector<std::pair<std::string, Time>> *journal = nullptr;
+    std::uint64_t ticks = 0;
+
+    void
+    tick(Time now) override
+    {
+        journal->emplace_back("tick", now);
+        if (++ticks % 3 != 0)
+            return;
+        int prio = static_cast<int>(ticks / 3 % 3) - 1;
+        auto *j = journal;
+        eq->schedule(now + period, [j, prio, this] {
+            j->emplace_back("tie" + std::to_string(prio), eq->now());
+        }, prio);
+        eq->schedule(now + period / 2, [j, this] {
+            j->emplace_back("half", eq->now());
+        });
+    }
+};
+
+TEST(Ticker, PumpedRunsOfOneGroupKeepTheSteppedOrder)
+{
+    // The pump fires a group again at once while it stays the head.
+    // Against plain popped dispatch, every event must run in the same
+    // order at the same time, same-time ties included.
+    struct Run {
+        std::vector<std::pair<std::string, Time>> journal;
+        std::uint64_t executed = 0;
+        std::uint64_t ffFires = 0;
+        std::uint64_t longestPump = 0;
+    };
+    auto run = [](bool pumped) {
+        Run r;
+        EventQueue eq;
+        Ticker ticker(eq);
+        TieScheduler ts;
+        ts.eq = &eq;
+        ts.period = 10;
+        ts.journal = &r.journal;
+        Recorder slow;
+        slow.name = "slow";
+        slow.journal = &r.journal;
+        ticker.add(ts, TickRate{10, 0, 0});
+        ticker.add(slow, TickRate{35, 5, 0});
+        const Time horizon = 2000;
+        for (;;) {
+            if (pumped)
+                r.longestPump =
+                    std::max(r.longestPump, ticker.fastForward(horizon));
+            if (eq.nextEventTime() > horizon || !eq.runOne())
+                break;
+        }
+        r.executed = eq.executedEvents();
+        r.ffFires = ticker.ffFires();
+        return r;
+    };
+    Run stepped = run(false);
+    Run pumped = run(true);
+    EXPECT_EQ(pumped.journal, stepped.journal);
+    EXPECT_EQ(pumped.executed, stepped.executed);
+    EXPECT_EQ(stepped.ffFires, 0u);
+    EXPECT_GT(pumped.ffFires, 0u);
+    // Two quiet ticks run back to back between the scheduling ones.
+    EXPECT_GE(pumped.longestPump, 2u);
 }
 
 TEST(CoalescedTimer, ExtendingDeadlineCostsNoHeapTraffic)
