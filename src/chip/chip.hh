@@ -80,7 +80,6 @@ class Chip : public ChipApi, public PmuHooks
     double freqGhz() const override { return pmu_->freqGhz(); }
     Cycles tscNow() const override;
     Cycles tscAt(Time t) const override;
-    double tscGhz() const override { return cfg_.tscGhz; }
     Time tscToTime(Cycles tsc) const override;
     void phiStarted(CoreId core, int smt, InstClass cls) override;
     void kernelEnded(CoreId core, int smt, InstClass cls) override;

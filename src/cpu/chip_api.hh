@@ -32,9 +32,6 @@ class ChipApi
     virtual Cycles tscNow() const = 0;
     /** Invariant TSC value at simulated time @p t (record backdating). */
     virtual Cycles tscAt(Time t) const = 0;
-    /** Invariant TSC rate, GHz (hoisted out of record-emission loops;
-     *  tscAt(t) == llround(double(t) * tscGhz() / 1000.0)). */
-    virtual double tscGhz() const = 0;
     virtual Time tscToTime(Cycles tsc) const = 0;
 
     /**

@@ -201,14 +201,13 @@ HwThread::materializeLoop(const LoopStep &loop, Time t1)
     double cap = static_cast<double>(loop.kernel.iterations);
     if (itersDone_ + kIterEpsilon >= cap)
         return; // completion (and its side effects) is advance()'s job
-    double tsc_ghz = chip_.tscGhz();
     if (stallUntil_ > lastAccrue_) {
         if (stallUntil_ > t1)
             return; // still stalled: no boundary crossed by t1
         // The stall-end wakeup's segment (no progress, unhalted cycles).
         accrueSegment(lastAccrue_, stallUntil_);
         lastAccrue_ = stallUntil_;
-        emitCrossedRecords(loop, stallUntil_, tsc_ghz);
+        emitCrossedRecords(loop, stallUntil_);
     }
     if (loop.recordEveryIterations == 0)
         return; // only boundary left is the step end — a real event
@@ -265,7 +264,6 @@ HwThread::materializeLoop(const LoopStep &loop, Time t1)
         if (e.recCount == 1) {
             Record &rec = records_.emplace_back();
             rec.tag = loop.tag;
-            rec.tsc = e.recTsc;
             rec.time = e.when;
             rec.iterationsDone = e.recIters;
             next_rec += rec_every;
@@ -274,7 +272,7 @@ HwThread::materializeLoop(const LoopStep &loop, Time t1)
             // (advances the record cursor exactly as the dry run did).
             itersDone_ = iters;
             nextRecordIters_ = next_rec;
-            emitCrossedRecords(loop, e.when, tsc_ghz);
+            emitCrossedRecords(loop, e.when);
             next_rec = nextRecordIters_;
         }
         if (iters + kIterEpsilon >= cap)
@@ -356,28 +354,18 @@ HwThread::emitRecord(int tag, std::uint64_t iters_done)
 void
 HwThread::emitRecordAt(int tag, std::uint64_t iters_done, Time at)
 {
-    Record rec;
-    rec.tag = tag;
-    rec.tsc = chip_.tscAt(at);
-    rec.time = at;
-    rec.iterationsDone = iters_done;
-    records_.push_back(rec);
+    records_.push_back(Record{tag, at, iters_done});
 }
 
 void
-HwThread::emitCrossedRecords(const LoopStep &loop, Time at,
-                             double tsc_ghz)
+HwThread::emitCrossedRecords(const LoopStep &loop, Time at)
 {
     while (loop.recordEveryIterations > 0 &&
            nextRecordIters_ <= itersDone_ + kIterEpsilon &&
            nextRecordIters_ <=
                static_cast<double>(loop.kernel.iterations)) {
-        // tscAt(at) with the rate hoisted by the caller; the dry run
-        // stages records with this same arithmetic.
-        records_.push_back(Record{
-            loop.tag,
-            roundNonNegative(static_cast<double>(at) * tsc_ghz / 1000.0),
-            at, roundNonNegative(nextRecordIters_)});
+        records_.push_back(
+            Record{loop.tag, at, roundNonNegative(nextRecordIters_)});
         nextRecordIters_ +=
             static_cast<double>(loop.recordEveryIterations);
     }
@@ -442,7 +430,7 @@ HwThread::advance()
             // Emit any chunk records whose boundary has been crossed (a
             // no-op on the analytic path, which emitted them during
             // materialization).
-            emitCrossedRecords(*loop, now, chip_.tscGhz());
+            emitCrossedRecords(*loop, now);
             if (itersDone_ + kIterEpsilon >=
                 static_cast<double>(loop->kernel.iterations)) {
                 finishLoopStep(*loop);
@@ -501,15 +489,17 @@ HwThread::dryRunLoopBoundary(const LoopStep &loop, Time anchor)
     double period_ps = cyclePicos(chip_.freqGhz());
     double cap = static_cast<double>(loop.kernel.iterations);
     double rec_every = static_cast<double>(loop.recordEveryIterations);
-    double tsc_ghz = chip_.tscGhz();
     double iters = itersDone_;
     double next_rec = nextRecordIters_;
+    // next_rec as an integer: it is a sum of integers below 2^53, so the
+    // double holds it exactly and rounding it is the identity.
+    std::uint64_t rec_iters = roundNonNegative(next_rec);
     // Two-entry memo of the span's quotients (see the header). At a
     // fixed rate the span alternates between values one picosecond
     // apart, so after a window's first two records every lookup hits
     // and `iters += hot.iters` is the only loop-carried dependency.
     struct SpanQuotients {
-        double span = -1.0; // spans are positive: starts empty
+        Time span = 0; // spans are at least 1 ps: starts empty
         double iters = 0.0;
         double cycles = 0.0;
     } hot, cold;
@@ -518,23 +508,28 @@ HwThread::dryRunLoopBoundary(const LoopStep &loop, Time anchor)
     int n = 0;
     while (n < depth) {
         // loopBoundaryWhen() with the conversions hoisted (the loop is
-        // chunked, so the target is the next record or the cap).
+        // chunked, so the target is the next record or the cap). The
+        // ceil is a truncation plus a carry, exact for 0 <= x < 2^53;
+        // the signed conversion is one instruction, the unsigned not.
         double remaining = std::max(0.0, std::min(cap, next_rec) - iters);
-        double c = std::ceil(remaining * iter_ps);
-        Time a = w;
-        w = a + static_cast<Time>(c) + 1;
-        // == static_cast<double>(w - a): exact below 2^53 ps.
-        double span = c + 1.0;
+        double x = remaining * iter_ps;
+        auto t = static_cast<std::int64_t>(x);
+        Time ci = static_cast<Time>(t) + (static_cast<double>(t) < x ? 1 : 0);
+        Time span = ci + 1;
+        w += span;
         if (span != hot.span) {
             std::swap(hot, cold);
-            if (span != hot.span)
-                hot = {span, span / iter_ps, span / period_ps};
+            if (span != hot.span) {
+                double s = static_cast<double>(span);
+                hot = {span, s / iter_ps, s / period_ps};
+            }
         }
 #ifndef NDEBUG
-        // Oracle: the memo must be what the division would give.
-        assert(span == static_cast<double>(w - a));
-        assert(hot.iters == static_cast<double>(w - a) / iter_ps);
-        assert(hot.cycles == static_cast<double>(w - a) / period_ps);
+        // Oracles: the integer ceil must be std::ceil, and the memo
+        // what the division would give.
+        assert(static_cast<double>(ci) == std::ceil(x));
+        assert(hot.iters == static_cast<double>(span) / iter_ps);
+        assert(hot.cycles == static_cast<double>(span) / period_ps);
 #endif
         iters = std::min(cap, iters + hot.iters);
         PendingBoundary &e = replayCache_[n++];
@@ -544,12 +539,11 @@ HwThread::dryRunLoopBoundary(const LoopStep &loop, Time anchor)
         // Stage the crossed records (emitCrossedRecords(), precomputed).
         int crossed = 0;
         while (next_rec <= iters + kIterEpsilon && next_rec <= cap) {
-            if (crossed == 0) {
-                e.recTsc = roundNonNegative(static_cast<double>(w) *
-                                            tsc_ghz / 1000.0);
-                e.recIters = roundNonNegative(next_rec);
-            }
+            assert(rec_iters == roundNonNegative(next_rec));
+            if (crossed == 0)
+                e.recIters = rec_iters;
             next_rec += rec_every;
+            rec_iters += loop.recordEveryIterations;
             ++crossed;
         }
         e.recCount = crossed;
@@ -655,7 +649,9 @@ HwThread::saveState(state::SaveContext &ctx) const
     w.putU64(records_.size());
     for (const Record &rec : records_) {
         w.putI32(rec.tag);
-        w.putU64(rec.tsc);
+        // The archive format carries each record's TSC;
+        // restoreState() checks it against the time.
+        w.putU64(chip_.tscAt(rec.time));
         w.putU64(rec.time);
         w.putU64(rec.iterationsDone);
     }
@@ -675,9 +671,15 @@ HwThread::restoreState(state::SectionReader &r, state::RestoreContext &)
     for (std::uint64_t i = 0; i < n; ++i) {
         Record rec;
         rec.tag = r.getI32();
-        rec.tsc = r.getU64();
+        Cycles tsc = r.getU64();
         rec.time = r.getU64();
         rec.iterationsDone = r.getU64();
+        if (tsc != chip_.tscAt(rec.time))
+            throw state::ArchiveError(
+                "HwThread: record " + std::to_string(i) + " has TSC " +
+                std::to_string(tsc) + ", not tscAt(" +
+                std::to_string(rec.time) + ") = " +
+                std::to_string(chip_.tscAt(rec.time)));
         records_.push_back(rec);
     }
     // The saved thread was idle, so it owned no boundary event and the

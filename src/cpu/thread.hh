@@ -29,8 +29,10 @@
  * rate a chunk span (ceil'd crossing + 1 ps) alternates between two
  * values a picosecond apart, so the dry run memoizes each span's two
  * quotients (iterations and cycles) and the only loop-carried work per
- * record is one add and one min; the divisions leave the loop, and the
- * ceil and the record rounding run off the critical path.
+ * record is one add and one min; the divisions leave the loop. The
+ * ceil is an integer truncate-and-carry, a record's iteration count is
+ * an integer cursor, and a record stores no TSC (the reader derives it
+ * from the time), so no rounding runs per record either.
  */
 
 #ifndef ICH_CPU_THREAD_HH
@@ -144,7 +146,9 @@ class HwThread
      * them), which saveState() re-checks loudly. Counters, records and
      * accrual marks round-trip bit-exactly, and the restored thread
      * accepts a fresh setProgram()/start() exactly like the original
-     * would.
+     * would. A record's archive entry still carries its TSC (the
+     * layout is unchanged); restoreState() throws state::ArchiveError
+     * when that TSC is not tscAt() of the record's time.
      */
     void saveState(state::SaveContext &ctx) const;
     void restoreState(state::SectionReader &r, state::RestoreContext &ctx);
@@ -206,7 +210,6 @@ class HwThread
         Time when;          ///< boundary-event time
         double itersAfter;  ///< itersDone_ after accruing up to when
         double cycles;      ///< unhalted cycles since the previous entry
-        Cycles recTsc;      ///< staged record TSC (recCount == 1)
         std::uint64_t recIters; ///< staged record iterationsDone
         int recCount;       ///< records crossed at this boundary
     };
@@ -224,10 +227,8 @@ class HwThread
      *  body; counters + loop iteration progress). */
     void accrueSegment(Time t0, Time t1);
     /** Emit every chunk record whose boundary has been crossed, stamped
-     *  at time @p at (legacy advance() emission loop). @p tsc_ghz is
-     *  the caller-hoisted invariant TSC rate. */
-    void emitCrossedRecords(const LoopStep &loop, Time at,
-                            double tsc_ghz);
+     *  at time @p at (legacy advance() emission loop). */
+    void emitCrossedRecords(const LoopStep &loop, Time at);
     /** Replay boundary crossings in [lastAccrue_, t1] for @p loop. */
     void materializeLoop(const LoopStep &loop, Time t1);
     /** Next boundary-event time for the current step (mode-aware). */
@@ -246,7 +247,9 @@ class HwThread
      * fused divide-add, and the build passes no -march/-mfma flag, so
      * even GCC's C++ default of -ffp-contract=fast has no FMA to form.
      * Builds without NDEBUG recompute both quotients by division on
-     * every record and assert they equal the memo.
+     * every record and assert they equal the memo; they also check the
+     * integer ceil against std::ceil and the integer record cursor
+     * against rounding the double one.
      */
     Time dryRunLoopBoundary(const LoopStep &loop, Time anchor);
 };

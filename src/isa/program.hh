@@ -57,10 +57,14 @@ struct CallStep {
 using ProgramStep =
     std::variant<LoopStep, WaitUntilTscStep, IdleStep, MarkStep, CallStep>;
 
-/** rdtsc-style measurement record emitted by Mark/chunked-Loop steps. */
+/**
+ * rdtsc-style measurement record emitted by Mark/chunked-Loop steps.
+ * The invariant TSC the thread read is a pure function of the time, so
+ * it is not stored: a reader that wants it calls
+ * ChipApi::tscAt(rec.time).
+ */
 struct Record {
     int tag;
-    Cycles tsc;
     Time time;
     /** Loop iterations completed at emit time (chunk records). */
     std::uint64_t iterationsDone;

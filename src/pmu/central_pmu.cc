@@ -50,6 +50,8 @@ CentralPmu::CentralPmu(EventQueue &eq, Rng &rng, Ticker &ticker,
         throw std::invalid_argument(
             "CentralPmu: frequency bins must be ascending");
     coreState_.assign(hooks_.numCores(), CoreState{});
+    for (std::size_t l = 0; l < licenseBin_.size(); ++l)
+        licenseBin_[l] = binIndexAtOrBelow(cfg_.pstate.licenseMaxGhz[l], bins);
     governorEval_.pmu = this;
     if (cfg_.governor.evalInterval > 0)
         ticker_.add(governorEval_,
@@ -330,22 +332,33 @@ CentralPmu::writeGovernor(GovernorPolicy policy, double userspace_ghz)
                    });
 }
 
+std::size_t
+CentralPmu::requestBin()
+{
+    const std::vector<double> &bins = cfg_.pstate.binsGhz;
+    double gov = governor_.requestGhz(cfg_.pstate.minGhz, bins.back());
+    double ghz = std::min(gov, powerLimiter_->capGhz());
+    if (ghz != requestGhzMemo_) {
+        requestGhzMemo_ = ghz;
+        requestBinMemo_ = binIndexAtOrBelow(ghz, bins);
+    }
+    assert(requestBinMemo_ == binIndexAtOrBelow(ghz, bins));
+    return requestBinMemo_;
+}
+
 void
 CentralPmu::reevaluateFreq()
 {
     if (pstateInFlight_)
         return;
     const std::vector<double> &bins = cfg_.pstate.binsGhz;
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz, bins.back());
-    double cap = powerLimiter_->capGhz();
     int license = licenseForGbLevel(maxLevelAllCores());
-    double license_cap = cfg_.pstate.licenseMaxGhz[license];
+    assert(licenseBin_[license] ==
+           binIndexAtOrBelow(cfg_.pstate.licenseMaxGhz[license], bins));
 
     // Bins ascend, so the lower index is the lower frequency.
-    std::size_t nolicense_bin =
-        std::min(binIndexAtOrBelow(std::min(gov, cap), bins), limitBin());
-    std::size_t desired_bin =
-        std::min(nolicense_bin, binIndexAtOrBelow(license_cap, bins));
+    std::size_t nolicense_bin = std::min(requestBin(), limitBin());
+    std::size_t desired_bin = std::min(nolicense_bin, licenseBin_[license]);
     double nolicense = bins[nolicense_bin];
     double desired = bins[desired_bin];
 
@@ -411,15 +424,12 @@ CentralPmu::upclockFired()
     upclockEvent_ = EventQueue::kInvalidEvent;
     if (pstateInFlight_)
         return;
-    // Recompute; conditions may have changed while waiting.
+    // Recompute; conditions may have changed while waiting. The bin
+    // search is monotone, so the bin of a min is the min of the bins.
     const std::vector<double> &bins = cfg_.pstate.binsGhz;
-    double gov = governor_.requestGhz(cfg_.pstate.minGhz, bins.back());
-    double cap = powerLimiter_->capGhz();
     int license = licenseForGbLevel(maxLevelAllCores());
-    double desired = std::min({gov, cap,
-                               cfg_.pstate.licenseMaxGhz[license]});
     std::size_t desired_bin =
-        std::min(binIndexAtOrBelow(desired, bins), limitBin());
+        std::min({requestBin(), licenseBin_[license], limitBin()});
     if (bins[desired_bin] > freqGhz_ + kGhzEps) {
         licenseCausedDownclock_ = false;
         startPstateTransition(desired_bin);

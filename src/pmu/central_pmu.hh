@@ -21,8 +21,10 @@
 #ifndef ICH_PMU_CENTRAL_PMU_HH
 #define ICH_PMU_CENTRAL_PMU_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -223,6 +225,13 @@ class CentralPmu
     double freqGhz_;
     /** Bin index of freqGhz_, set together with it. */
     std::size_t freqBin_ = 0;
+    /** binIndexAtOrBelow(licenseMaxGhz[l]) per license l (config-fixed). */
+    std::array<std::size_t, 3> licenseBin_{};
+    /** One-entry memo of requestBin(): the last min(governor, power cap)
+     *  and its bin. NaN compares unequal to every key, so it marks the
+     *  memo empty. A pure function of the config, so never archived. */
+    double requestGhzMemo_ = std::numeric_limits<double>::quiet_NaN();
+    std::size_t requestBinMemo_ = 0;
     bool pstateInFlight_ = false;
     /** Completion deadline of the in-flight P-state transition
      *  (diagnostic; meaningful only while pstateInFlight_). */
@@ -254,6 +263,9 @@ class CentralPmu
     /** Bin index of the electrical (Vccmax/Iccmax) limit at the present
      *  activity and levels. */
     std::size_t limitBin() const;
+    /** binIndexAtOrBelow(min(governor request, power cap)), memoized:
+     *  both inputs sit still between most re-evaluations. */
+    std::size_t requestBin();
     void submitUpTransition(CoreId core, int lvl, int domain);
     void releaseDomainThrottles(int domain);
     void scheduleDecay(CoreId core);

@@ -71,7 +71,6 @@ expectEqualSigs(const RunSig &a, const RunSig &b)
     ASSERT_EQ(a.records.size(), b.records.size());
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         EXPECT_EQ(a.records[i].tag, b.records[i].tag) << "record " << i;
-        EXPECT_EQ(a.records[i].tsc, b.records[i].tsc) << "record " << i;
         EXPECT_EQ(a.records[i].time, b.records[i].time) << "record " << i;
         EXPECT_EQ(a.records[i].iterationsDone,
                   b.records[i].iterationsDone)

@@ -8,6 +8,7 @@
 
 #include "channels/smt_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -76,6 +77,38 @@ TEST(SmtChannel, ImprovedThrottlingKillsChannel)
     const Calibration &cal = ch.calibration();
     // No sibling-visible stall: all levels collapse to ~0 excess.
     EXPECT_LT(cal.minSeparationUs(), 0.2);
+}
+
+TEST(SmtChannel, ReceiverRecordsArePinnedBitExactly)
+{
+    // The receiver's raw chunk records (every calibration and payload
+    // simulation) and its tpUs doubles, quiet and at the BER grid's
+    // 5000 events/s mixed-noise point, hashed exactly. The batched and
+    // per-chunk replay paths are compared with each other elsewhere;
+    // this pins both against fixed values, so a change to the replay
+    // arithmetic that moves one record by a picosecond shows up here.
+    struct Pin {
+        double rate;
+        std::uint64_t records, tpUs;
+        std::size_t count;
+    };
+    const Pin pins[] = {
+        {0.0, 0x7f695d32ce4983d6ULL, 0xa5d2843cbdff223aULL, 23906},
+        {5000.0, 0xe47d13ad0f69d06aULL, 0xe9630d801cc5e065ULL, 23563},
+    };
+    for (const Pin &pin : pins) {
+        ChannelConfig cfg = baseConfig();
+        cfg.seed = 2021;
+        cfg.noise.interruptRatePerSec = pin.rate;
+        cfg.noise.contextSwitchRatePerSec = pin.rate / 10.0;
+        cfg.app.phiRatePerSec = pin.rate / 10.0;
+        IccSMTcovert ch(cfg);
+        test::ChannelPins got =
+            test::channelPins(ch, test::lcgBits(64, 0xFEED), 0, 1);
+        EXPECT_EQ(got.recordCount, pin.count) << "noise " << pin.rate;
+        EXPECT_EQ(got.records, pin.records) << "noise " << pin.rate;
+        EXPECT_EQ(got.tpUs, pin.tpUs) << "noise " << pin.rate;
+    }
 }
 
 } // namespace

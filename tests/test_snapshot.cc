@@ -20,6 +20,7 @@
 
 #include "chip/presets.hh"
 #include "chip/simulation.hh"
+#include "io/codec.hh"
 #include "state/state.hh"
 
 namespace ich
@@ -106,7 +107,7 @@ continuationSignature(Simulation &sim, Time duration)
             for (const Record &rec : thr.records())
                 add(std::snprintf(
                     buf, sizeof buf, " rec %d %llu %llu %llu\n", rec.tag,
-                    static_cast<unsigned long long>(rec.tsc),
+                    static_cast<unsigned long long>(chip.tscAt(rec.time)),
                     static_cast<unsigned long long>(rec.time),
                     static_cast<unsigned long long>(
                         rec.iterationsDone)));
@@ -224,6 +225,83 @@ TEST(Snapshot, OffBinRestoredFrequencyIsRejected)
         FAIL() << "restored an off-bin frequency";
     } catch (const state::ArchiveError &e) {
         EXPECT_NE(std::string(e.what()).find("not a P-state bin"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * Quiesced Cannon Lake simulation holding mark records and chunk
+ * records: a throttled chunked PHI loop between two marks on SMT 0, a
+ * chunked 64b loop (the SMT receiver's shape) on SMT 1.
+ */
+std::unique_ptr<Simulation>
+recordHoldingSimulation()
+{
+    auto sim = std::make_unique<Simulation>(presets::cannonLake(), 13);
+    Chip &chip = sim->chip();
+    Program p0;
+    p0.mark(0x5A5A);
+    p0.loopChunked(InstClass::k256Heavy, 3000, 10, 2);
+    p0.mark(3);
+    Program p1;
+    p1.loopChunked(InstClass::kScalar64, 20000, 250, 4, 20);
+    chip.core(0).thread(0).setProgram(std::move(p0));
+    chip.core(0).thread(1).setProgram(std::move(p1));
+    chip.core(0).thread(1).start();
+    chip.core(0).thread(0).start();
+    sim->run(fromSeconds(1.0));
+    state::quiesce(*sim);
+    return sim;
+}
+
+TEST(Snapshot, RecordArchiveBytesArePinned)
+{
+    // Records keep their archive layout (tag, TSC, time, iterations),
+    // so the bytes of a snapshot holding both record kinds are pinned.
+    std::unique_ptr<Simulation> sim = recordHoldingSimulation();
+    const Chip &chip = sim->chip();
+    EXPECT_EQ(chip.core(0).thread(0).records().size(), 302u);
+    EXPECT_EQ(chip.core(0).thread(1).records().size(), 80u);
+    state::Buffer snap = state::snapshot(*sim);
+    EXPECT_EQ(snap.size(), 19959u);
+    EXPECT_EQ(io::fnv1a(snap.data(), snap.size(), io::kFnv1aSeed),
+              0x194b21dd45eaaee2ULL);
+}
+
+TEST(Snapshot, RecordTscDisagreeingWithItsTimeIsRejected)
+{
+    // A record's archived TSC must be tscAt() of its time (a Record
+    // stores only the time), so a disagreeing one means a corrupt
+    // archive. Find the 0x5A5A mark (i32 tag, then the u64 TSC), bump
+    // the TSC by one and re-seal the CRC, so only the thread's own
+    // check can catch it.
+    std::unique_ptr<Simulation> sim = recordHoldingSimulation();
+    state::Buffer snap = state::snapshot(*sim);
+    const std::uint8_t mark[] = {5, 0x5A, 0x5A, 0, 0, 4}; // kTagI32, kTagU64
+    auto it = std::search(snap.begin(), snap.end(), std::begin(mark),
+                          std::end(mark));
+    ASSERT_NE(it, snap.end());
+    std::size_t at = static_cast<std::size_t>(it - snap.begin()) +
+                     sizeof mark;
+    std::uint64_t tsc = 0;
+    for (int i = 0; i < 8; ++i)
+        tsc |= std::uint64_t{snap[at + i]} << (8 * i);
+    const Record &rec = sim->chip().core(0).thread(0).records().front();
+    ASSERT_EQ(rec.tag, 0x5A5A);
+    ASSERT_EQ(tsc, sim->chip().tscAt(rec.time));
+    ++tsc;
+    for (int i = 0; i < 8; ++i)
+        snap[at + i] = static_cast<std::uint8_t>(tsc >> (8 * i));
+    // Header: u32 magic, u32 version, u64 payload length, u32 crc.
+    std::uint32_t crc = state::crc32(snap.data() + 20, snap.size() - 20);
+    for (int i = 0; i < 4; ++i)
+        snap[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    try {
+        state::restore(snap);
+        FAIL() << "restored a record whose TSC disagrees with its time";
+    } catch (const state::ArchiveError &e) {
+        EXPECT_NE(std::string(e.what()).find("not tscAt("),
                   std::string::npos)
             << e.what();
     }

@@ -7,6 +7,7 @@
 
 #include "channels/thread_channel.hh"
 #include "chip/presets.hh"
+#include "test_util.hh"
 
 namespace ich
 {
@@ -99,6 +100,35 @@ TEST(ThreadChannel, DeterministicAcrossIdenticalRuns)
     auto ra = a.transmit(bits);
     auto rb = b.transmit(bits);
     EXPECT_EQ(ra.tpUs, rb.tpUs);
+}
+
+TEST(ThreadChannel, MarkRecordsArePinnedBitExactly)
+{
+    // The mark records around every probe (calibration and payload
+    // simulations) and the tpUs doubles, quiet and at the BER grid's
+    // 5000 events/s mixed-noise point, hashed exactly.
+    struct Pin {
+        double rate;
+        std::uint64_t records, tpUs;
+        std::size_t count;
+    };
+    const Pin pins[] = {
+        {0.0, 0x33c3b63943a2dac8ULL, 0xb74f599e0b7b2452ULL, 128},
+        {5000.0, 0x50847f160f8590a2ULL, 0x4f32864ba68ab906ULL, 128},
+    };
+    for (const Pin &pin : pins) {
+        ChannelConfig cfg = baseConfig(presets::cannonLake());
+        cfg.seed = 2021;
+        cfg.noise.interruptRatePerSec = pin.rate;
+        cfg.noise.contextSwitchRatePerSec = pin.rate / 10.0;
+        cfg.app.phiRatePerSec = pin.rate / 10.0;
+        IccThreadCovert ch(cfg);
+        test::ChannelPins got =
+            test::channelPins(ch, test::lcgBits(64, 0xFEED), 0, 0);
+        EXPECT_EQ(got.recordCount, pin.count) << "noise " << pin.rate;
+        EXPECT_EQ(got.records, pin.records) << "noise " << pin.rate;
+        EXPECT_EQ(got.tpUs, pin.tpUs) << "noise " << pin.rate;
+    }
 }
 
 } // namespace

@@ -87,7 +87,7 @@ TEST(ThreadExec, WaitUntilTscResumesOnTime)
     sim.run();
     ASSERT_EQ(thr.records().size(), 1u);
     EXPECT_NEAR(toMicroseconds(thr.records()[0].time), 100.0, 0.1);
-    EXPECT_GE(thr.records()[0].tsc, target);
+    EXPECT_GE(chip.tscAt(thr.records()[0].time), target);
 }
 
 TEST(ThreadExec, IdleStepLastsExactly)

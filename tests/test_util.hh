@@ -6,8 +6,13 @@
 #ifndef ICH_TESTS_TEST_UTIL_HH
 #define ICH_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+#include <vector>
+
+#include "channels/channel.hh"
 #include "chip/presets.hh"
 #include "chip/simulation.hh"
+#include "io/codec.hh"
 
 namespace ich
 {
@@ -115,6 +120,66 @@ throttlePeriodUs(const ChipConfig &cfg, InstClass cls, double freq_ghz,
     double nominal =
         toMicroseconds(kernelPicos(makeKernel(cls, iters, 100), freq_ghz));
     return measured - nominal;
+}
+
+/** FNV-1a of every record's (time, iterationsDone), in order. */
+inline std::uint64_t
+recordHash(const std::vector<Record> &recs,
+           std::uint64_t h = io::kFnv1aSeed)
+{
+    for (const Record &rec : recs) {
+        h = io::fnv1aU64(rec.time, h);
+        h = io::fnv1aU64(rec.iterationsDone, h);
+    }
+    return h;
+}
+
+/** Bit-exact fingerprint of one channel transmit(). */
+struct ChannelPins {
+    /** recordHash() of the receiver thread, chained across every
+     *  simulation the channel ran (calibration, then payload). */
+    std::uint64_t records = io::kFnv1aSeed;
+    /** FNV-1a of the payload run's tpUs doubles, as bits. */
+    std::uint64_t tpUs = io::kFnv1aSeed;
+    /** Records the receiver produced across those simulations. */
+    std::size_t recordCount = 0;
+};
+
+/**
+ * Transmit @p bits on @p ch and fingerprint the receiver on
+ * (core @p rx_core, SMT @p rx_smt): pins the receiver's raw records,
+ * not just the decoded symbols, so any drift in record timing shows.
+ */
+inline ChannelPins
+channelPins(CovertChannel &ch, const BitVec &bits, CoreId rx_core,
+            int rx_smt)
+{
+    ChannelPins pins;
+    CovertChannel::SimHooks hooks;
+    hooks.onFinish = [&pins, rx_core, rx_smt](Simulation &sim) {
+        const auto &recs = sim.chip().core(rx_core).thread(rx_smt).records();
+        pins.records = recordHash(recs, pins.records);
+        pins.recordCount += recs.size();
+    };
+    ch.setSimHooks(std::move(hooks));
+    TransmitResult res = ch.transmit(bits);
+    for (double tp : res.tpUs)
+        pins.tpUs = io::fnv1aU64(io::f64Bits(tp), pins.tpUs);
+    return pins;
+}
+
+/** @p n deterministic pseudo-random payload bits (LCG, seed @p seed). */
+inline BitVec
+lcgBits(std::size_t n, std::uint32_t seed)
+{
+    BitVec bits;
+    bits.reserve(n);
+    std::uint32_t x = seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        x = x * 1664525u + 1013904223u;
+        bits.push_back(static_cast<std::uint8_t>(x >> 31));
+    }
+    return bits;
 }
 
 } // namespace test
